@@ -16,14 +16,17 @@ instance numbers in error messages are 1-based, matching the file.
 
 Writes are atomic: the JSON is fully serialized, written to a temporary
 file in the target directory, and renamed into place, so a failed save
-never leaves a partial manifest behind.
+never leaves a partial manifest behind. The file gets the mode a plain
+``open(path, "w")`` would give it, ``0o666`` less the process umask.
+
+Frames larger than ``MAX_FRAME_PIXELS`` are rejected before any mask data
+is decoded, so a small file cannot ask for an unbounded allocation.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 
 from .errors import (
@@ -38,6 +41,10 @@ from .refine import MaskletSet, MaskSequence, RefinedSequence
 
 KINDS = ("coarse", "masklets", "refined", "gt")
 SEQUENCE_KINDS = tuple(k for k in KINDS if k != "masklets")
+
+# Largest frame (height * width) a manifest may declare: 256 MiB per frame
+# as decoded bools.
+MAX_FRAME_PIXELS = 2**28
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +134,9 @@ def write_json_atomic(path, obj) -> None:
     """Serialize ``obj`` fully, then write-and-rename so readers never see a partial file."""
     text = json.dumps(obj, indent=2) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
+    tmp_path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.json")
+    # O_EXCL never reuses an existing file; mode 0o666 lets the umask apply.
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -200,6 +209,11 @@ def load_manifest(path) -> VideoManifest:
     num_frames = _require_int(obj, "num_frames", path)
     if height < 1 or width < 1:
         raise ManifestSchemaError(f"{path}: dimensions must be at least 1x1, got {height}x{width}")
+    if height * width > MAX_FRAME_PIXELS:
+        raise ManifestIntegrityError(
+            f"{path}: {height}x{width} frames exceed the limit of "
+            f"{MAX_FRAME_PIXELS} pixels per frame"
+        )
     if num_frames < 1:
         raise ManifestSchemaError(f"{path}: 'num_frames' must be at least 1, got {num_frames}")
 

@@ -108,10 +108,10 @@ class MaskletSet:
             if num_frames is None or height is None or width is None:
                 raise ValueError("an empty masklet set needs explicit num_frames, height and width")
             return cls(tracks={}, num_frames=num_frames, height=height, width=width)
+        track_map = {iid: seq if isinstance(seq, MaskSequence) else MaskSequence(frames=tuple(seq))
+                     for iid, seq in track_map.items()}
         first = track_map[1]
         for iid, seq in track_map.items():
-            if not isinstance(seq, MaskSequence):
-                track_map[iid] = seq = MaskSequence(frames=tuple(seq))
             if (seq.num_frames, seq.height, seq.width) != (first.num_frames, first.height, first.width):
                 raise ValueError(
                     f"masklet {iid} covers {seq.num_frames} frames of "

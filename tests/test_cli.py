@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import maskfuse.manifest
 from conftest import flicker_scenario, rand_mask
 from maskfuse import (
     MaskletSet,
@@ -244,6 +245,24 @@ def test_missing_input_gives_json_error_and_exit_1(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "ManifestParseError"
     assert "a.json" in err["error"]["message"]
+
+
+def test_oversized_frame_is_rejected_before_decode(tmp_path, capsys, monkeypatch):
+    def no_decode(rle):
+        raise AssertionError("the frame must be rejected before it is decoded")
+
+    monkeypatch.setattr(maskfuse.manifest, "rle_decode", no_decode)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "video_id": "v", "kind": "gt", "height": 100000, "width": 100000, "num_frames": 1,
+        "frames": [{"h": 100000, "w": 100000, "counts": [10**10]}],
+    }))
+    assert main(["eval", "--pred", str(path), "--gt", str(path)]) == 1
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1
+    err = json.loads(err_lines[0])
+    assert err["error"]["type"] == "ManifestIntegrityError"
+    assert "100000x100000" in err["error"]["message"]
 
 
 def test_kind_misuse_gives_kind_error(tmp_path, capsys):

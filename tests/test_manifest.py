@@ -221,6 +221,18 @@ def test_save_is_atomic_and_leaves_no_droppings(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["out.json"]
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_save_gives_the_umask_mode(tmp_path, umask, mode):
+    seq = MaskSequence(frames=(np.zeros((2, 2), dtype=bool),))
+    path = tmp_path / "out.json"
+    old = os.umask(umask)
+    try:
+        save_manifest(path, sequence_manifest("v", "coarse", seq))
+    finally:
+        os.umask(old)
+    assert os.stat(path).st_mode & 0o777 == mode
+
+
 def test_manifest_key_order_is_canonical(tmp_path):
     seq = MaskSequence(frames=(np.zeros((2, 2), dtype=bool),))
     path = tmp_path / "out.json"

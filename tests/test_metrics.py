@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 import oracles
 from conftest import mask_from_rows, rand_mask
@@ -18,6 +19,28 @@ from maskfuse import (
     mask_boundary,
     region_j,
 )
+from maskfuse.metrics import _chebyshev_zone
+
+
+def dilation_zone(mask, tolerance):
+    """Reference tolerance zone: ``tolerance`` iterations of a 3x3 binary dilation."""
+    return ndimage.binary_dilation(mask, structure=np.ones((3, 3), dtype=bool),
+                                   iterations=tolerance)
+
+
+def dilation_boundary_f(pred, gt, tolerance):
+    """Reference boundary F built on :func:`dilation_zone`."""
+    pred_b, gt_b = mask_boundary(pred), mask_boundary(gt)
+    n_pred, n_gt = int(pred_b.sum()), int(gt_b.sum())
+    if n_pred == 0 and n_gt == 0:
+        return 1.0
+    if n_pred == 0 or n_gt == 0:
+        return 0.0
+    precision = int((pred_b & dilation_zone(gt_b, tolerance)).sum()) / n_pred
+    recall = int((gt_b & dilation_zone(pred_b, tolerance)).sum()) / n_gt
+    if precision + recall == 0:
+        return 0.0
+    return 2 * precision * recall / (precision + recall)
 
 
 def test_region_j_is_plain_iou():
@@ -92,6 +115,66 @@ def test_boundary_f_matches_oracle_exactly():
         got = boundary_f(pred, gt, tolerance_px=tol)
         want = oracles.boundary_f_naive(oracles.to_grid(pred), oracles.to_grid(gt), tol)
         assert got == want
+
+
+@pytest.mark.parametrize("tolerance", [4, 5, 6])
+def test_boundary_f_matches_oracle_at_wider_tolerances(tolerance):
+    rng = np.random.default_rng(60 + tolerance)
+    for _ in range(60):
+        h, w = rng.integers(1, 25, size=2)
+        pred = rand_mask(rng, h, w, p=rng.choice([0.05, 0.3, 0.7]))
+        gt = rand_mask(rng, h, w, p=rng.choice([0.05, 0.3, 0.7]))
+        got = boundary_f(pred, gt, tolerance_px=tolerance)
+        want = oracles.boundary_f_naive(oracles.to_grid(pred), oracles.to_grid(gt), tolerance)
+        assert got == want
+
+
+# 2t+1 is one more than a power of two for t = 1, 2, 4, 8, 16 (the last
+# shifted OR has step 1) and is not for the other tolerances.
+@pytest.mark.parametrize("tolerance", [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17])
+def test_chebyshev_zone_matches_iterated_dilation(tolerance):
+    rng = np.random.default_rng(70 + tolerance)
+    for _ in range(40):
+        h, w = rng.integers(1, 3 * tolerance + 5, size=2)
+        m = rand_mask(rng, h, w, p=rng.choice([0.005, 0.05, 0.3]))
+        assert np.array_equal(_chebyshev_zone(m, tolerance), dilation_zone(m, tolerance))
+
+
+def test_chebyshev_zone_on_thin_and_edge_touching_frames():
+    rng = np.random.default_rng(79)
+    masks = []
+    for n in (1, 2, 7, 40):
+        masks += [rand_mask(rng, 1, n, p=0.1), rand_mask(rng, n, 1, p=0.1)]
+    ring = full_mask(9, 13)
+    ring[1:-1, 1:-1] = False
+    corners = empty_mask(9, 13)
+    corners[[0, 0, -1, -1], [0, -1, 0, -1]] = True
+    masks += [ring, corners, full_mask(5, 6), empty_mask(5, 6)]
+    for m in masks:
+        longest = max(m.shape)
+        # up to and past max(H, W), where the zone is the whole frame
+        for tolerance in (1, 2, 3, longest - 1, longest, longest + 1, 4 * longest):
+            if tolerance < 1:
+                continue
+            assert np.array_equal(_chebyshev_zone(m, tolerance), dilation_zone(m, tolerance))
+
+
+@pytest.mark.parametrize("tolerance", [8, 18])
+def test_boundary_f_full_size_frames_match_iterated_dilation(tolerance):
+    rng = np.random.default_rng(tolerance)
+    rows, cols = np.mgrid[:480, :854]
+    disk = (rows - 240) ** 2 + (cols - 400) ** 2 < 150 ** 2
+    edge_touching = (rows < 40) | (rows >= 460) | (cols < 30) | (cols >= 830)
+    speckle = rand_mask(rng, 480, 854, p=0.002)
+    shifted = np.roll(disk, (5, tolerance + 1), axis=(0, 1))
+    masks = [disk, edge_touching | shifted, speckle, disk ^ speckle]
+    for m in masks:
+        b = mask_boundary(m)
+        assert np.array_equal(_chebyshev_zone(b, tolerance), dilation_zone(b, tolerance))
+    for pred, gt in zip(masks, masks[1:] + masks[:1]):
+        assert (boundary_f(pred, gt, tolerance_px=tolerance)
+                == dilation_boundary_f(pred, gt, tolerance))
+    assert boundary_f(disk, shifted, tolerance_px=tolerance) < 1.0
 
 
 def test_eval_result_from_per_frame():

@@ -63,6 +63,18 @@ def test_masklet_set_requires_aligned_tracks():
                                 2: seq_of(empty_mask(2, 2), empty_mask(2, 2))})
 
 
+def test_masklet_set_accepts_plain_frame_lists():
+    a = [mask_from_rows("#."), mask_from_rows(".#")]
+    b = [mask_from_rows(".."), mask_from_rows("##")]
+    for tracks in ([a, b], {1: a, 2: b}):
+        ms = MaskletSet.from_tracks(tracks)
+        assert (ms.num_instances, ms.num_frames, ms.height, ms.width) == (2, 2, 1, 2)
+        assert isinstance(ms.tracks[1], MaskSequence)
+        assert np.array_equal(ms.frame(2, 1), b[1])
+    with pytest.raises(ValueError):
+        MaskletSet.from_tracks([a, [mask_from_rows("#.")]])
+
+
 def test_empty_masklet_set_needs_explicit_dims():
     with pytest.raises(ValueError):
         MaskletSet.from_tracks({})
