@@ -19,14 +19,16 @@ file in the target directory, and renamed into place, so a failed save
 never leaves a partial manifest behind. The file gets the mode a plain
 ``open(path, "w")`` would give it, ``0o666`` less the process umask.
 
-Frames larger than ``MAX_FRAME_PIXELS`` are rejected before any mask data
-is decoded, so a small file cannot ask for an unbounded allocation.
+A manifest whose frames would decode to more than ``MAX_MASK_PIXELS`` mask
+pixels in total is rejected before any mask data is decoded, and so is a
+JSON object that repeats a key.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -36,15 +38,11 @@ from .errors import (
     ManifestSchemaError,
     RleFormatError,
 )
-from .masks import RleMask, rle_decode, rle_encode
-from .refine import MaskletSet, MaskSequence, RefinedSequence
+from .masks import MAX_MASK_PIXELS, RleMask, rle_decode, rle_encode
+from .refine import MaskletSet, MaskSequence
 
 KINDS = ("coarse", "masklets", "refined", "gt")
 SEQUENCE_KINDS = tuple(k for k in KINDS if k != "masklets")
-
-# Largest frame (height * width) a manifest may declare: 256 MiB per frame
-# as decoded bools.
-MAX_FRAME_PIXELS = 2**28
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,14 +93,10 @@ class VideoManifest:
 
 
 def sequence_manifest(video_id: str, kind: str, sequence) -> VideoManifest:
-    """Wrap a mask sequence (or refined result) for saving."""
+    """Wrap a mask sequence, refined result or iterable of masks for saving."""
     if kind not in SEQUENCE_KINDS:
         raise ValueError(f"kind must be one of {SEQUENCE_KINDS}, got {kind!r}")
-    if isinstance(sequence, RefinedSequence):
-        sequence = sequence.as_sequence()
-    elif not isinstance(sequence, MaskSequence):
-        sequence = MaskSequence(frames=tuple(sequence))
-    return VideoManifest(video_id=video_id, kind=kind, data=sequence)
+    return VideoManifest(video_id=video_id, kind=kind, data=MaskSequence(frames=sequence))
 
 
 def masklet_manifest(video_id: str, masklets: MaskletSet) -> VideoManifest:
@@ -167,6 +161,22 @@ def _require_int(obj: dict, key: str, path) -> int:
     return value
 
 
+def _object_without_duplicates(pairs: list, path) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ManifestSchemaError(f"{path}: duplicate key {key!r} in a JSON object")
+    return obj
+
+
+def _require_budget(path, num_frames: int, height: int, width: int, sequences: int) -> None:
+    if num_frames * height * width * sequences > MAX_MASK_PIXELS:
+        raise ManifestIntegrityError(
+            f"{path}: {sequences} sequence(s) of {num_frames} frames of {height}x{width} "
+            f"exceed the limit of {MAX_MASK_PIXELS} decoded mask pixels"
+        )
+
+
 def _decode_rle(entry, height: int, width: int, where: str, path):
     try:
         rle = RleMask.from_json_dict(entry)
@@ -186,11 +196,13 @@ def load_manifest(path) -> VideoManifest:
     Raises :class:`ManifestParseError` when the file cannot be read or is
     not JSON, :class:`ManifestSchemaError` when fields are missing or of
     the wrong type, and :class:`ManifestIntegrityError` when the mask data
-    violates an invariant (naming the offending frame or instance).
+    violates an invariant (naming the offending frame or instance) or
+    would decode to more than ``MAX_MASK_PIXELS`` pixels.
     """
     try:
         with open(path) as handle:
-            obj = json.load(handle)
+            obj = json.load(
+                handle, object_pairs_hook=lambda pairs: _object_without_duplicates(pairs, path))
     except OSError as exc:
         raise ManifestParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -209,11 +221,6 @@ def load_manifest(path) -> VideoManifest:
     num_frames = _require_int(obj, "num_frames", path)
     if height < 1 or width < 1:
         raise ManifestSchemaError(f"{path}: dimensions must be at least 1x1, got {height}x{width}")
-    if height * width > MAX_FRAME_PIXELS:
-        raise ManifestIntegrityError(
-            f"{path}: {height}x{width} frames exceed the limit of "
-            f"{MAX_FRAME_PIXELS} pixels per frame"
-        )
     if num_frames < 1:
         raise ManifestSchemaError(f"{path}: 'num_frames' must be at least 1, got {num_frames}")
 
@@ -233,6 +240,7 @@ def load_manifest(path) -> VideoManifest:
             raise ManifestIntegrityError(
                 f"{path}: instance ids must be contiguous from 1, got {ids}"
             )
+        _require_budget(path, num_frames, height, width, len(ids))
         tracks = {}
         for iid in ids:
             entries = instances[key_by_id[iid]]
@@ -259,6 +267,7 @@ def load_manifest(path) -> VideoManifest:
             f"{path}: 'frames' has {len(frames_obj)} entries, "
             f"manifest header says {num_frames}"
         )
+    _require_budget(path, num_frames, height, width, 1)
     frames = tuple(
         _decode_rle(entry, height, width, f"frame {t + 1}", path)
         for t, entry in enumerate(frames_obj)

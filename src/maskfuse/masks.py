@@ -23,6 +23,11 @@ from .errors import RleFormatError, ShapeMismatchError
 # A mask: 2-D numpy array of bool, True marks foreground pixels.
 Mask = np.ndarray
 
+# Most mask pixels, summed over every frame of every sequence, that one
+# manifest may decode or one scenario may render: 4 GiB as bools. Both
+# check it before allocating, so a small input cannot ask for unbounded memory.
+MAX_MASK_PIXELS = 2**32
+
 
 def make_mask(pixels) -> Mask:
     """Coerce ``pixels`` to a 2-D contiguous bool array, validating the shape."""

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import AlignmentError
 from .masks import Mask, iou, make_mask, require_same_shape
+from .refine import MaskSequence
 
 region_j = iou
 
@@ -147,34 +148,25 @@ class EvalResult:
         }
 
 
-def _frames_of(sequence) -> tuple[Mask, ...]:
-    frames = getattr(sequence, "frames", None)
-    if frames is not None:
-        return tuple(frames)
-    return tuple(make_mask(f) for f in sequence)
-
-
 def evaluate_sequence(pred, gt, tolerance_px: int | None = None) -> EvalResult:
     """Score a predicted sequence against ground truth frame by frame.
 
-    Accepts mask sequences, refined sequences, or plain iterables of masks.
-    The boundary tolerance is derived once from the frame dimensions unless
-    given explicitly.
+    Accepts mask sequences, refined sequences, or plain iterables of masks
+    (see :class:`MaskSequence`). The boundary tolerance is derived once from
+    the frame dimensions unless given explicitly.
     """
-    pred_frames = _frames_of(pred)
-    gt_frames = _frames_of(gt)
-    if len(pred_frames) != len(gt_frames):
+    pred = MaskSequence(frames=pred)
+    gt = MaskSequence(frames=gt)
+    if pred.num_frames != gt.num_frames:
         raise AlignmentError(
-            f"prediction has {len(pred_frames)} frames, ground truth {len(gt_frames)}"
+            f"prediction has {pred.num_frames} frames, ground truth {gt.num_frames}"
         )
-    if not pred_frames:
-        raise ValueError("cannot evaluate an empty sequence")
-    require_same_shape(pred_frames[0], gt_frames[0])
+    require_same_shape(pred.frames[0], gt.frames[0])
     if tolerance_px is None:
-        tolerance_px = default_boundary_tolerance(*pred_frames[0].shape)
+        tolerance_px = default_boundary_tolerance(pred.height, pred.width)
     per_j = []
     per_f = []
-    for p, g in zip(pred_frames, gt_frames):
+    for p, g in zip(pred.frames, gt.frames):
         per_j.append(region_j(p, g))
         per_f.append(boundary_f(p, g, tolerance_px=tolerance_px))
     return EvalResult.from_per_frame(per_j, per_f)

@@ -12,6 +12,7 @@ import os
 import numpy as np
 
 from .masks import Mask, make_mask
+from .refine import MaskSequence
 
 
 def write_pgm(path, mask: Mask) -> None:
@@ -63,14 +64,13 @@ def read_pgm(path) -> Mask:
 def export_overlay(sequence, out_dir) -> list[str]:
     """Write every frame of a sequence as a PGM under ``out_dir``.
 
-    Accepts anything with a ``frames`` attribute (mask sequences, refined
-    results) or a plain iterable of masks. Returns the written paths in
+    Accepts mask sequences, refined results, or a plain iterable of masks
+    (see :class:`MaskSequence`); ragged or non-2-D input raises
+    ``ValueError`` before anything is written. Returns the written paths in
     frame order. The directory is created if needed; I/O failures propagate
     with the offending path in the exception.
     """
-    frames = getattr(sequence, "frames", None)
-    if frames is None:
-        frames = tuple(sequence)
+    frames = MaskSequence(frames=sequence).frames
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for index, mask in enumerate(frames, start=1):

@@ -17,7 +17,7 @@ Frame indices are 0-based throughout the Python API; instance ids are
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +34,13 @@ DEFAULT_TAU = 0.8
 
 @dataclass(frozen=True, eq=False)
 class MaskSequence:
-    """An ordered run of same-sized binary masks (one per video frame)."""
+    """An ordered run of same-sized binary masks (one per video frame).
+
+    ``frames`` may be any non-empty iterable of 2-D masks, including another
+    mask sequence; this constructor is the one place such an iterable becomes
+    a sequence. Frames that already are contiguous bool arrays are kept as
+    the same objects, not copied. Ragged or non-2-D frames raise ``ValueError``.
+    """
 
     frames: tuple[Mask, ...]
 
@@ -108,7 +114,7 @@ class MaskletSet:
             if num_frames is None or height is None or width is None:
                 raise ValueError("an empty masklet set needs explicit num_frames, height and width")
             return cls(tracks={}, num_frames=num_frames, height=height, width=width)
-        track_map = {iid: seq if isinstance(seq, MaskSequence) else MaskSequence(frames=tuple(seq))
+        track_map = {iid: seq if isinstance(seq, MaskSequence) else MaskSequence(frames=seq)
                      for iid, seq in track_map.items()}
         first = track_map[1]
         for iid, seq in track_map.items():
@@ -217,23 +223,13 @@ class RefineReport:
 
 
 @dataclass(frozen=True, eq=False)
-class RefinedSequence:
+class RefinedSequence(MaskSequence):
     """Refined frames plus the trace of how they were produced."""
 
-    frames: tuple[Mask, ...]
     report: RefineReport
 
-    @property
-    def num_frames(self) -> int:
-        return len(self.frames)
-
-    def __len__(self) -> int:
-        return len(self.frames)
-
-    def __getitem__(self, index: int) -> Mask:
-        return self.frames[index]
-
     def as_sequence(self) -> MaskSequence:
+        """The frames alone, as a plain mask sequence over the same arrays."""
         return MaskSequence(frames=self.frames)
 
 
@@ -276,23 +272,16 @@ def select_combination(combinations, tie_break: str = "earliest") -> tuple[int, 
     the combination whose first occurrence comes soonest; ``"smallest"`` to
     the lexicographically smallest tuple.
     """
-    combos = [tuple(c) for c in combinations]
-    if not combos:
+    counts = Counter(tuple(c) for c in combinations)
+    if not counts:
         raise ValueError("cannot select from an empty combination list")
     if tie_break not in TIE_BREAK_POLICIES:
         raise ValueError(f"tie_break must be one of {TIE_BREAK_POLICIES}, got {tie_break!r}")
-    counts: dict[tuple[int, ...], int] = {}
-    first_at: dict[tuple[int, ...], int] = {}
-    for pos, combo in enumerate(combos):
-        if combo not in counts:
-            counts[combo] = 0
-            first_at[combo] = pos
-        counts[combo] += 1
-    best = max(counts.values())
-    tied = [c for c, n in counts.items() if n == best]
     if tie_break == "earliest":
-        return min(tied, key=lambda c: first_at[c])
-    return min(tied)
+        # Counter keeps first-occurrence order and max() returns the first maximum.
+        return max(counts, key=counts.__getitem__)
+    best = max(counts.values())
+    return min(c for c, n in counts.items() if n == best)
 
 
 def refine_window(coarse_frames, tracks: dict[int, MaskSequence], cfg: RefineConfig,
@@ -329,8 +318,10 @@ def refine_video(coarse: MaskSequence, tracked: MaskletSet,
 
     The video is split into consecutive non-overlapping windows of
     ``cfg.window`` frames (the last window may be shorter) and each window
-    is refined independently. ``workers`` only parallelizes that loop; the
-    output is bit-identical for any worker count.
+    is refined independently, in order, on the calling thread. ``workers``
+    must be at least 1 and is otherwise ignored: a thread pool over windows
+    measured slower than one thread, since the per-frame numpy calls are too
+    short for threads to do much besides contending for the GIL.
     """
     if cfg is None:
         cfg = RefineConfig()
@@ -347,26 +338,15 @@ def refine_video(coarse: MaskSequence, tracked: MaskletSet,
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
 
-    T = coarse.num_frames
-    spans = [(s, min(s + cfg.window, T)) for s in range(0, T, cfg.window)]
-
-    def run_span(span: tuple[int, int]) -> tuple[tuple[Mask, ...], WindowRecord]:
-        s, e = span
-        return refine_window(coarse.frames[s:e], tracked.tracks, cfg, start=s)
-
-    if workers == 1 or len(spans) == 1:
-        results = [run_span(sp) for sp in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_span, spans))
-
     frames: list[Mask] = []
     window_records = []
-    for out_frames, record in results:
+    for s in range(0, coarse.num_frames, cfg.window):
+        out_frames, record = refine_window(coarse.frames[s:s + cfg.window], tracked.tracks,
+                                           cfg, start=s)
         frames.extend(out_frames)
         window_records.append(record)
     report = RefineReport(
-        num_frames=T,
+        num_frames=coarse.num_frames,
         num_instances=tracked.num_instances,
         window=cfg.window,
         tau=cfg.tau,

@@ -28,7 +28,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ScenarioError
-from .masks import Mask, empty_mask, union
+from .masks import MAX_MASK_PIXELS, Mask, empty_mask, union
 from .refine import MaskletSet, MaskSequence
 
 SHAPE_KINDS = ("rect", "disk")
@@ -120,16 +120,23 @@ class Scenario:
         object.__setattr__(self, "instances", instances)
         if not instances:
             raise ScenarioError("a scenario needs at least one instance")
+        n = len(instances)
+        # Every instance, the ground truth and the coarse sequence get T frames.
+        if self.frames * self.height * self.width * (n + 2) > MAX_MASK_PIXELS:
+            raise ScenarioError(
+                f"{n + 2} sequences of {self.frames} frames of {self.height}x{self.width} "
+                f"exceed the limit of {MAX_MASK_PIXELS} rendered mask pixels"
+            )
         for idx, track in enumerate(instances, start=1):
             self._check_track(idx, track)
-        n = len(instances)
-        target = tuple(sorted(set(self.target)))
-        object.__setattr__(self, "target", target)
-        if not target:
-            raise ScenarioError("target must name at least one instance")
+        target = tuple(self.target)
         for iid in target:
             if not (isinstance(iid, int) and not isinstance(iid, bool) and 1 <= iid <= n):
                 raise ScenarioError(f"target id {iid!r} is not an instance id in 1..{n}")
+        target = tuple(sorted(set(target)))
+        object.__setattr__(self, "target", target)
+        if not target:
+            raise ScenarioError("target must name at least one instance")
         non_target = set(range(1, n + 1)) - set(target)
         for frame, iid in self.corruption.forced_drops:
             if not 0 <= frame < self.frames:
@@ -143,6 +150,8 @@ class Scenario:
                 raise ScenarioError(f"forced add instance {iid} is not a non-target instance")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ScenarioError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.video_id, str):
+            raise ScenarioError(f"video_id must be a string, got {self.video_id!r}")
 
     def _check_track(self, idx: int, track: ShapeTrack) -> None:
         if not isinstance(track, ShapeTrack):

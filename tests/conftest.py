@@ -1,6 +1,9 @@
 import numpy as np
 
-from maskfuse import CorruptionSpec, Scenario, ShapeTrack
+from maskfuse import CorruptionSpec, MaskletSet, MaskSequence, Scenario, ShapeTrack, refine_video
+
+# The forms a mask sequence can take as an argument.
+SEQUENCE_FORMS = ("MaskSequence", "RefinedSequence", "list")
 
 
 def mask_from_rows(*rows: str) -> np.ndarray:
@@ -10,6 +13,19 @@ def mask_from_rows(*rows: str) -> np.ndarray:
 
 def rand_mask(rng: np.random.Generator, height: int, width: int, p: float = 0.5) -> np.ndarray:
     return rng.random((height, width)) < p
+
+
+def sequence_as(form: str, frames):
+    """``frames`` as a plain list, a ``MaskSequence``, or a ``RefinedSequence``
+    (refined against no masklets, so its frames are the input frames)."""
+    if form == "list":
+        return list(frames)
+    seq = MaskSequence(frames=frames)
+    if form == "MaskSequence":
+        return seq
+    no_tracks = MaskletSet.from_tracks({}, num_frames=seq.num_frames,
+                                       height=seq.height, width=seq.width)
+    return refine_video(seq, no_tracks)
 
 
 def flicker_scenario() -> Scenario:

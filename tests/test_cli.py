@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import maskfuse.manifest
+import maskfuse.synth
 from conftest import flicker_scenario, rand_mask
 from maskfuse import (
     MaskletSet,
@@ -263,6 +264,69 @@ def test_oversized_frame_is_rejected_before_decode(tmp_path, capsys, monkeypatch
     err = json.loads(err_lines[0])
     assert err["error"]["type"] == "ManifestIntegrityError"
     assert "100000x100000" in err["error"]["message"]
+
+
+def one_line_error(capsys) -> dict:
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1
+    return json.loads(err_lines[0])["error"]
+
+
+def test_oversized_manifest_is_rejected_before_decode(tmp_path, capsys, monkeypatch):
+    decoded = []
+    monkeypatch.setattr(maskfuse.manifest, "rle_decode",
+                        lambda rle: decoded.append(rle) or np.zeros((1, 1), dtype=bool))
+    side = 2**14  # each frame is small enough on its own; 100 of them are 25 GiB
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "video_id": "v", "kind": "gt", "height": side, "width": side, "num_frames": 100,
+        "frames": [{"h": side, "w": side, "counts": [side * side]}] * 100,
+    }))
+    assert main(["eval", "--pred", str(path), "--gt", str(path)]) == 1
+    err = one_line_error(capsys)
+    assert err["type"] == "ManifestIntegrityError"
+    assert f"{side}x{side}" in err["message"]
+    assert decoded == []
+
+
+def synth_spec(**overrides) -> dict:
+    spec = {"video_id": "v", "frames": 3, "height": 8, "width": 8,
+            "instances": [{"kind": "rect", "size": [2, 2]}], "target": [1]}
+    spec.update(overrides)
+    return spec
+
+
+def run_synth(tmp_path, spec) -> tuple[int, object]:
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out_dir = tmp_path / "out"
+    return main(["synth", "--spec", str(spec_path), "--out-dir", str(out_dir)]), out_dir
+
+
+@pytest.mark.parametrize("frames, side", [(400, 2**14), (10**12, 8)])
+def test_oversized_scenario_is_rejected_before_rendering(tmp_path, capsys, monkeypatch,
+                                                         frames, side):
+    rendered = []
+
+    def no_render(*args):
+        rendered.append(args)
+        raise AssertionError("the scenario must be rejected before it is rendered")
+
+    monkeypatch.setattr(maskfuse.synth, "_render_track", no_render)
+    code, out_dir = run_synth(tmp_path, synth_spec(frames=frames, height=side, width=side))
+    assert code == 1
+    err = one_line_error(capsys)
+    assert err["type"] == "ScenarioError"
+    assert f"{side}x{side}" in err["message"]
+    assert rendered == [] and not out_dir.exists()
+
+
+@pytest.mark.parametrize("overrides", [{"target": [[1]]}, {"video_id": 5}])
+def test_synth_rejects_bad_target_or_video_id_before_writing(tmp_path, capsys, overrides):
+    code, out_dir = run_synth(tmp_path, synth_spec(**overrides))
+    assert code == 1
+    assert one_line_error(capsys)["type"] == "ScenarioError"
+    assert not out_dir.exists()
 
 
 def test_kind_misuse_gives_kind_error(tmp_path, capsys):

@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from conftest import rand_mask
+import maskfuse.manifest
+from conftest import SEQUENCE_FORMS, rand_mask, sequence_as
 from maskfuse import (
     ManifestIntegrityError,
     ManifestKindError,
@@ -13,6 +14,7 @@ from maskfuse import (
     MaskletSet,
     MaskSequence,
     VideoManifest,
+    empty_mask,
     fig2_scenario,
     generate,
     load_manifest,
@@ -21,6 +23,8 @@ from maskfuse import (
     save_manifest,
     sequence_manifest,
 )
+from maskfuse.manifest import manifest_to_json_dict
+from maskfuse.masks import MAX_MASK_PIXELS
 
 
 def rle_obj(mask) -> dict:
@@ -53,6 +57,22 @@ def test_sequence_save_load_roundtrip(tmp_path):
     assert loaded.video_id == "demo"
     assert loaded.kind == "coarse"
     assert loaded.data.equals(seq)
+
+
+@pytest.mark.parametrize("form", SEQUENCE_FORMS)
+def test_sequence_manifest_wraps_every_sequence_form_alike(form):
+    rng = np.random.default_rng(4)
+    frames = [rand_mask(rng, 3, 5) for _ in range(4)]
+    expected = manifest_to_json_dict(
+        sequence_manifest("v", "refined", MaskSequence(frames=frames)))
+    manifest = sequence_manifest("v", "refined", sequence_as(form, frames))
+    assert type(manifest.data) is MaskSequence
+    assert manifest_to_json_dict(manifest) == expected
+
+
+def test_sequence_manifest_rejects_ragged_frames():
+    with pytest.raises(ValueError):
+        sequence_manifest("v", "coarse", [empty_mask(2, 2), empty_mask(2, 3)])
 
 
 def test_masklet_save_load_roundtrip(tmp_path):
@@ -239,3 +259,43 @@ def test_manifest_key_order_is_canonical(tmp_path):
     save_manifest(path, sequence_manifest("v", "coarse", seq))
     keys = list(json.loads(path.read_text()))
     assert keys == ["video_id", "kind", "height", "width", "num_frames", "frames"]
+
+
+def test_duplicate_instance_key_is_schema_error(tmp_path):
+    frame = json.dumps(rle_obj(np.zeros((2, 2), dtype=bool)))
+    path = tmp_path / "m.json"
+    path.write_text(
+        '{"video_id": "v", "kind": "masklets", "height": 2, "width": 2, "num_frames": 1, '
+        f'"instances": {{"1": [{frame}], "1": [{frame}]}}}}')
+    with pytest.raises(ManifestSchemaError, match="duplicate key '1'"):
+        load_manifest(path)
+
+
+def test_duplicate_top_level_key_is_schema_error(tmp_path):
+    frame = json.dumps(rle_obj(np.zeros((2, 2), dtype=bool)))
+    path = tmp_path / "c.json"
+    path.write_text(
+        '{"video_id": "v", "kind": "coarse", "height": 2, "width": 2, "num_frames": 1, '
+        f'"frames": [{frame}], "frames": [{frame}]}}')
+    with pytest.raises(ManifestSchemaError, match="duplicate key 'frames'"):
+        load_manifest(path)
+
+
+def test_masklet_budget_counts_every_instance(tmp_path, monkeypatch):
+    decoded = []
+    monkeypatch.setattr(maskfuse.manifest, "rle_decode",
+                        lambda rle: decoded.append(rle) or np.zeros((1, 1), dtype=bool))
+    side = 2**13  # 40 frames of 8192x8192 fit the budget once, not twice
+    frames = [{"h": side, "w": side, "counts": [side * side]}] * 40
+    payload = {
+        "video_id": "v", "kind": "masklets", "height": side, "width": side,
+        "num_frames": 40, "instances": {"1": frames},
+    }
+    assert 40 * side * side <= MAX_MASK_PIXELS < 2 * 40 * side * side
+    load_manifest(write_json(tmp_path / "one.json", payload))
+    assert len(decoded) == 40
+    decoded.clear()
+    payload["instances"]["2"] = frames
+    with pytest.raises(ManifestIntegrityError, match=f"{side}x{side}"):
+        load_manifest(write_json(tmp_path / "two.json", payload))
+    assert decoded == []

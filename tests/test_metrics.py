@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 import oracles
-from conftest import mask_from_rows, rand_mask
+from conftest import SEQUENCE_FORMS, mask_from_rows, rand_mask, sequence_as
 from maskfuse import (
     AlignmentError,
     EvalResult,
@@ -271,3 +271,23 @@ def test_evaluate_sequence_accepts_plain_mask_lists():
     a = [mask_from_rows("##", "..")]
     b = [mask_from_rows("##", "..")]
     assert evaluate_sequence(a, b).jf_mean == 1.0
+
+
+@pytest.mark.parametrize("form", SEQUENCE_FORMS)
+def test_evaluate_sequence_scores_every_sequence_form_alike(form):
+    rng = np.random.default_rng(43)
+    pred = [rand_mask(rng, 9, 11) for _ in range(5)]
+    gt = [rand_mask(rng, 9, 11) for _ in range(5)]
+    expected = evaluate_sequence(MaskSequence(frames=pred), MaskSequence(frames=gt))
+    assert evaluate_sequence(sequence_as(form, pred), sequence_as(form, gt)) == expected
+    assert evaluate_sequence(sequence_as(form, pred), gt) == expected
+
+
+def test_evaluate_sequence_rejects_ragged_and_empty_input():
+    ragged = [empty_mask(2, 2), empty_mask(2, 3)]
+    with pytest.raises(ValueError):
+        evaluate_sequence(ragged, [empty_mask(2, 2)] * 2)
+    with pytest.raises(ValueError):
+        evaluate_sequence([empty_mask(2, 2)] * 2, ragged)
+    with pytest.raises(ValueError):
+        evaluate_sequence([], [])

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import mask_from_rows, rand_mask
+from conftest import SEQUENCE_FORMS, mask_from_rows, rand_mask, sequence_as
 from maskfuse import MaskSequence, export_overlay, read_pgm, write_pgm
 
 
@@ -61,3 +61,26 @@ def test_export_accepts_plain_iterables(tmp_path):
     paths = export_overlay(frames, tmp_path / "sub")
     assert len(paths) == 2
     assert np.array_equal(read_pgm(paths[0]), mask_from_rows("#"))
+
+
+@pytest.mark.parametrize("form", SEQUENCE_FORMS)
+def test_export_writes_every_sequence_form_alike(tmp_path, form):
+    rng = np.random.default_rng(12)
+    frames = [rand_mask(rng, 4, 6) for _ in range(3)]
+    reference = export_overlay(MaskSequence(frames=frames), tmp_path / "ref")
+    paths = export_overlay(sequence_as(form, frames), tmp_path / form)
+    assert [os.path.basename(p) for p in paths] == [os.path.basename(p) for p in reference]
+    for path, ref in zip(paths, reference):
+        with open(path, "rb") as got, open(ref, "rb") as want:
+            assert got.read() == want.read()
+
+
+@pytest.mark.parametrize("frames", [
+    [np.zeros((2, 2), dtype=bool), np.zeros((3, 2), dtype=bool)],
+    [np.zeros((2, 2), dtype=bool), np.zeros(4, dtype=bool)],
+])
+def test_export_rejects_ragged_input_before_writing(tmp_path, frames):
+    out_dir = tmp_path / "frames"
+    with pytest.raises(ValueError):
+        export_overlay(frames, out_dir)
+    assert not out_dir.exists()

@@ -10,6 +10,7 @@ from maskfuse import (
     MaskletSet,
     MaskSequence,
     RefineConfig,
+    RefinedSequence,
     empty_mask,
     frame_combination,
     full_mask,
@@ -283,6 +284,29 @@ def test_refine_video_with_no_instances_returns_coarse():
     tracks = MaskletSet.from_tracks({}, num_frames=6, height=3, width=4)
     refined = refine_video(coarse, tracks, RefineConfig(window=4))
     assert refined.as_sequence().equals(coarse)
+
+
+def test_refined_sequence_is_a_mask_sequence():
+    rng = np.random.default_rng(9)
+    T, h, w = 7, 3, 5
+    tracks = MaskletSet.from_tracks([seq_of(*[rand_mask(rng, h, w) for _ in range(T)])])
+    coarse = seq_of(*[rand_mask(rng, h, w) for _ in range(T)])
+    refined = refine_video(coarse, tracks, RefineConfig(window=3, tau=0.3))
+    assert isinstance(refined, MaskSequence)
+    assert (refined.num_frames, len(refined), refined.height, refined.width) == (T, T, h, w)
+    assert refined[-1] is refined.frames[-1]
+    plain = refined.as_sequence()
+    assert type(plain) is MaskSequence
+    assert all(a is b for a, b in zip(plain.frames, refined.frames))
+    assert plain.equals(refined) and refined.equals(plain)
+    assert MaskSequence(frames=refined).equals(refined)
+
+
+def test_refined_sequence_validates_its_frames():
+    report = refine_video(seq_of(empty_mask(2, 2)),
+                          MaskletSet.from_tracks({}, num_frames=1, height=2, width=2)).report
+    with pytest.raises(ValueError):
+        RefinedSequence(frames=(empty_mask(2, 2), empty_mask(3, 2)), report=report)
 
 
 def test_refine_video_rejects_misaligned_inputs():
