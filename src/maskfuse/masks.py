@@ -87,6 +87,35 @@ def union(masks, *, shape: tuple[int, int] | None = None) -> Mask:
     return out
 
 
+def erode(mask: Mask, steps: int = 1) -> Mask:
+    """Erode ``steps`` times by the 4-neighbour cross.
+
+    Each step keeps the foreground pixels whose four neighbours are all
+    foreground, with everything beyond the image counting as background, so
+    the image border is peeled too. This equals ``steps`` iterations of a
+    cross-shaped binary erosion with background beyond the image, bit for bit.
+    """
+    m = make_mask(mask)
+    height, width = m.shape
+    # No pixel is farther than (min(H, W) + 1) // 2 steps from the background
+    # beyond the image, so every later step would erode an empty mask.
+    for _ in range(min(steps, (min(height, width) + 1) // 2)):
+        out = m.copy()
+        flat, prev = out.reshape(-1), m.reshape(-1)
+        # Row shifts of the flat array AND each pixel with the pixels above and
+        # below it, single-pixel shifts with its left and right neighbours. The
+        # latter wrap across rows only at the first and last columns, which,
+        # like the first and last rows, are background after any step.
+        flat[width:] &= prev[:-width]
+        flat[:-width] &= prev[width:]
+        flat[1:] &= prev[:-1]
+        flat[:-1] &= prev[1:]
+        out[[0, -1]] = False
+        out[:, [0, -1]] = False
+        m = out
+    return m
+
+
 def iou(a: Mask, b: Mask) -> float:
     """Jaccard index of two masks.
 
@@ -118,13 +147,18 @@ class RleMask:
         object.__setattr__(self, "counts", counts)
         if not counts:
             raise RleFormatError("RLE counts must not be empty")
-        for pos, count in enumerate(counts):
-            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-                raise RleFormatError(f"RLE count at position {pos} is not an integer: {count!r}")
-            if count < 0:
-                raise RleFormatError(f"RLE count at position {pos} is negative: {count}")
-            if count == 0 and pos > 0:
-                raise RleFormatError(f"RLE count at position {pos} is zero (only the leading count may be 0)")
+        # Counts made by rle_encode or parsed from JSON are plain ints and pass
+        # these three C-level checks; anything else takes the loop, which
+        # accepts numpy integers and names the first bad position.
+        if not (set(map(type, counts)) <= {int} and min(counts) >= 0
+                and 0 not in counts[1:]):
+            for pos, count in enumerate(counts):
+                if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                    raise RleFormatError(f"RLE count at position {pos} is not an integer: {count!r}")
+                if count < 0:
+                    raise RleFormatError(f"RLE count at position {pos} is negative: {count}")
+                if count == 0 and pos > 0:
+                    raise RleFormatError(f"RLE count at position {pos} is zero (only the leading count may be 0)")
         total = sum(counts)
         expected = self.height * self.width
         if total != expected:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError
-from .masks import Mask, iou, make_mask, require_same_shape
+from .masks import Mask, erode, iou, make_mask, require_same_shape
 from .refine import MaskSequence
 
 region_j = iou
@@ -41,11 +41,7 @@ def mask_boundary(mask: Mask) -> Mask:
     image is background).
     """
     m = make_mask(mask)
-    padded = np.pad(m, 1, mode="constant", constant_values=False)
-    interior = (
-        padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
-    )
-    return m & ~interior
+    return m & ~erode(m)
 
 
 def _chebyshev_zone(mask: Mask, radius: int) -> Mask:

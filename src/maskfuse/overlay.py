@@ -7,6 +7,7 @@ frame, named ``00001.pgm``, ``00002.pgm``, ... in frame order.
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import numpy as np
@@ -67,14 +68,26 @@ def export_overlay(sequence, out_dir) -> list[str]:
     Accepts mask sequences, refined results, or a plain iterable of masks
     (see :class:`MaskSequence`); ragged or non-2-D input raises
     ``ValueError`` before anything is written. Returns the written paths in
-    frame order. The directory is created if needed; I/O failures propagate
-    with the offending path in the exception.
+    frame order. The directory is created if needed. On any failure the
+    frames this call wrote are removed, and the directory too if this call
+    created it, before the exception propagates with the offending path.
     """
     frames = MaskSequence(frames=sequence).frames
+    created = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for index, mask in enumerate(frames, start=1):
-        path = os.path.join(out_dir, f"{index:05d}.pgm")
-        write_pgm(path, mask)
-        paths.append(path)
+    try:
+        for index, mask in enumerate(frames, start=1):
+            path = os.path.join(out_dir, f"{index:05d}.pgm")
+            # Listed before writing, so a frame that fails halfway is removed too.
+            paths.append(path)
+            write_pgm(path, mask)
+    except BaseException:
+        for path in paths:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        if created:
+            with contextlib.suppress(OSError):
+                os.rmdir(out_dir)
+        raise
     return paths

@@ -25,16 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ScenarioError
-from .masks import MAX_MASK_PIXELS, Mask, empty_mask, union
+from .masks import MAX_MASK_PIXELS, Mask, empty_mask, erode, union
 from .refine import MaskletSet, MaskSequence
 
 SHAPE_KINDS = ("rect", "disk")
-
-# 4-neighbour cross: one erosion step peels a 1-pixel rim off the coarse mask.
-_CROSS = ndimage.generate_binary_structure(2, 1)
 
 
 @dataclass(frozen=True)
@@ -199,15 +195,22 @@ def _render_track(track: ShapeTrack, frame_index: int, height: int, width: int) 
     """Rasterize one instance at one frame, clipping at the image edges."""
     row, col = track.position(frame_index)
     if track.kind == "rect":
-        mask = empty_mask(height, width)
-        sh, sw = track.size
-        r0, r1 = max(0, row), min(height, row + sh)
-        c0, c1 = max(0, col), min(width, col + sw)
-        if r0 < r1 and c0 < c1:
+        top, left = row, col
+        box_h, box_w = track.size
+    else:
+        r = track.radius
+        top, left = row - r, col - r
+        box_h = box_w = 2 * r + 1
+    mask = empty_mask(height, width)
+    r0, r1 = max(0, top), min(height, top + box_h)
+    c0, c1 = max(0, left), min(width, left + box_w)
+    if r0 < r1 and c0 < c1:
+        if track.kind == "rect":
             mask[r0:r1, c0:c1] = True
-        return mask
-    yy, xx = np.ogrid[:height, :width]
-    return (yy - row) ** 2 + (xx - col) ** 2 <= track.radius ** 2
+        else:
+            yy, xx = np.ogrid[r0:r1, c0:c1]
+            mask[r0:r1, c0:c1] = (yy - row) ** 2 + (xx - col) ** 2 <= r ** 2
+    return mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,13 +279,7 @@ def generate(scenario: Scenario) -> SynthResult:
     for t in range(T):
         parts = [rendered[iid][t] for iid in scenario.target if (t, iid) not in drops]
         parts += [rendered[iid][t] for iid in scenario.non_target if (t, iid) in adds]
-        frame = union(parts, shape=(H, W))
-        if spec.boundary_erosion_px > 0 and frame.any():
-            frame = ndimage.binary_erosion(
-                frame, structure=_CROSS, iterations=spec.boundary_erosion_px,
-                border_value=0,
-            )
-        coarse_frames.append(frame)
+        coarse_frames.append(erode(union(parts, shape=(H, W)), spec.boundary_erosion_px))
 
     corrupted = tuple(
         t for t in range(T) if not np.array_equal(coarse_frames[t], gt_frames[t])

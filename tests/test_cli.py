@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
+import maskfuse
 import maskfuse.manifest
 import maskfuse.synth
 from conftest import flicker_scenario, rand_mask
@@ -319,6 +324,40 @@ def test_oversized_scenario_is_rejected_before_rendering(tmp_path, capsys, monke
     assert err["type"] == "ScenarioError"
     assert f"{side}x{side}" in err["message"]
     assert rendered == [] and not out_dir.exists()
+
+
+def run_python(code: str, *args: str, timeout: float) -> subprocess.CompletedProcess:
+    """Run ``python -c code`` in a fresh interpreter that imports this maskfuse."""
+    src = os.path.dirname(os.path.dirname(maskfuse.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          timeout=timeout, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_synth_with_huge_erosion_finishes_with_empty_coarse_frames(tmp_path):
+    spec = synth_spec(instances=[{"kind": "rect", "size": [4, 6], "start": [1, 1]},
+                                 {"kind": "disk", "radius": 2, "start": [5, 5]}],
+                      target=[1, 2], corruption={"boundary_erosion_px": 10**9})
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out_dir = tmp_path / "out"
+    # A subprocess, so that an erosion loop that never ends fails the test.
+    proc = run_python("import sys; from maskfuse.cli import main; sys.exit(main(sys.argv[1:]))",
+                      "synth", "--spec", str(spec_path), "--out-dir", str(out_dir), timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    gt = load_manifest(out_dir / "gt.json").data
+    coarse = load_manifest(out_dir / "coarse.json").data
+    cross = ndimage.generate_binary_structure(2, 1)
+    for g, c in zip(gt.frames, coarse.frames):
+        expected = ndimage.binary_erosion(g, structure=cross, iterations=10**9, border_value=0)
+        assert g.any() and not expected.any()
+        assert np.array_equal(c, expected)
+
+
+def test_cli_does_not_import_scipy():
+    proc = run_python("import sys, maskfuse.cli; print('scipy' in sys.modules)", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("overrides", [{"target": [[1]]}, {"video_id": 5}])

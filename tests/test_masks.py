@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 import oracles
 from conftest import mask_from_rows, rand_mask
@@ -19,6 +20,7 @@ from maskfuse import (
     rle_encode,
     union,
 )
+from maskfuse.masks import erode
 
 
 def test_make_mask_coerces_dtype_and_keeps_shape():
@@ -77,6 +79,31 @@ def test_union_empty_list_needs_shape():
 def test_union_rejects_mixed_shapes():
     with pytest.raises(ShapeMismatchError):
         union([empty_mask(2, 2), empty_mask(2, 3)])
+
+
+def cross_erosion(mask, steps):
+    """Reference: ``steps`` iterations of a 4-neighbour cross erosion with
+    background beyond the image."""
+    return ndimage.binary_erosion(mask, structure=ndimage.generate_binary_structure(2, 1),
+                                  iterations=steps, border_value=0)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 7), (7, 2), (6, 6), (7, 9),
+                                   (16, 23)])
+def test_erode_matches_cross_erosion(shape):
+    h, w = shape
+    # every pixel is gone after this many steps; erode stops there
+    clamp = (min(h, w) + 1) // 2
+    rng = np.random.default_rng(100 * h + w)
+    masks = [full_mask(h, w), empty_mask(h, w)]
+    masks += [rand_mask(rng, h, w, p=p) for p in (0.5, 0.8, 0.95, 0.99)]
+    steps = {1, 2, 3, 4, 5, clamp, clamp + 1, 10**9} | ({clamp - 1} - {0})
+    for m in masks:
+        before = m.copy()
+        for k in sorted(steps):
+            assert np.array_equal(erode(m, k), cross_erosion(m, k)), (m, k)
+        assert np.array_equal(m, before)
+    assert np.array_equal(erode(masks[-1], 0), masks[-1])
 
 
 def test_iou_conventions():
@@ -199,6 +226,32 @@ def test_rle_validation_rejects_bad_counts():
         RleMask(height=2, width=2, counts=(1.0, 3.0))
     with pytest.raises(RleFormatError):
         RleMask(height=0, width=4, counts=(0,))
+
+
+@pytest.mark.parametrize("counts, message", [
+    ((1, True, 2), "RLE count at position 1 is not an integer: True"),
+    ((1.0, 3.0), "RLE count at position 0 is not an integer: 1.0"),
+    ((1, "3"), "RLE count at position 1 is not an integer: '3'"),
+    ((-1, 5), "RLE count at position 0 is negative: -1"),
+    ((1, 2, np.int64(-1), 2), "RLE count at position 2 is negative: -1"),
+    ((1, 0, 3), "RLE count at position 1 is zero (only the leading count may be 0)"),
+    ((1, -1, "x"), "RLE count at position 1 is negative: -1"),
+])
+def test_rle_count_errors_name_the_first_bad_position(counts, message):
+    with pytest.raises(RleFormatError) as info:
+        RleMask(height=2, width=2, counts=counts)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("counts", [
+    (np.int64(1), np.int64(3)),
+    (1, np.int64(3)),
+    (np.int32(0), 4),
+])
+def test_rle_accepts_numpy_integer_counts(counts):
+    rle = RleMask(height=2, width=2, counts=counts)
+    assert rle.counts == tuple(int(c) for c in counts)
+    assert rle_decode(rle).sum() == (4 - counts[0])
 
 
 def test_rle_leading_zero_is_allowed_only_first():

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+import maskfuse.overlay
 from conftest import SEQUENCE_FORMS, mask_from_rows, rand_mask, sequence_as
 from maskfuse import MaskSequence, export_overlay, read_pgm, write_pgm
 
@@ -84,3 +85,31 @@ def test_export_rejects_ragged_input_before_writing(tmp_path, frames):
     with pytest.raises(ValueError):
         export_overlay(frames, out_dir)
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_export_removes_what_it_wrote(tmp_path, monkeypatch, existing):
+    out_dir = tmp_path / "frames"
+    if existing:
+        out_dir.mkdir()
+        (out_dir / "notes.txt").write_text("keep")
+    real_write = maskfuse.overlay.write_pgm
+    calls = []
+
+    def write_pgm(path, mask):
+        calls.append(path)
+        if len(calls) == 3:
+            with open(path, "wb") as handle:
+                handle.write(b"P5\n")
+            raise OSError(f"disk full: {path}")
+        real_write(path, mask)
+
+    monkeypatch.setattr(maskfuse.overlay, "write_pgm", write_pgm)
+    frames = [np.ones((2, 3), dtype=bool)] * 5
+    with pytest.raises(OSError, match="disk full"):
+        export_overlay(frames, out_dir)
+    assert len(calls) == 3
+    if existing:
+        assert os.listdir(out_dir) == ["notes.txt"]
+    else:
+        assert not out_dir.exists()

@@ -16,6 +16,7 @@ from maskfuse import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from maskfuse.synth import _render_track
 
 
 def simple_scenario(**overrides) -> Scenario:
@@ -82,6 +83,28 @@ def test_rect_clips_at_image_edge():
     frame = generate(scenario).masklets.frame(1, 0)
     assert area(frame) == 8  # only 2 of 5 columns are inside
     assert frame[2:6, 0:2].all()
+
+
+@pytest.mark.parametrize("start, radius", [
+    ((10, 14), 6),   # inside the image
+    ((0, 0), 5),     # clipped at a corner
+    ((19, 29), 3),   # clipped at the opposite corner
+    ((-3, 15), 5),   # centre above the image
+    ((10, 33), 5),   # centre right of the image
+    ((-5, 15), 5),   # only the bottom pixel is inside
+    ((-6, 15), 5),   # entirely outside
+    ((7, 8), 0),     # a single pixel
+    ((7, -1), 0),    # a single pixel outside
+])
+def test_disk_matches_full_frame_formula(start, radius):
+    h, w = 20, 30
+    yy, xx = np.ogrid[:h, :w]
+    track = ShapeTrack(kind="disk", radius=radius, start=start, velocity=(1, -2))
+    for t in range(3):
+        row, col = track.position(t)
+        disk = _render_track(track, t, h, w)
+        assert disk.dtype == np.bool_
+        assert np.array_equal(disk, (yy - row) ** 2 + (xx - col) ** 2 <= radius ** 2)
 
 
 def test_same_seed_is_bit_identical():
