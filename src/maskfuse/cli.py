@@ -117,7 +117,7 @@ def _cmd_synth(args) -> int:
     try:
         with open(args.spec) as handle:
             spec_obj = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ScenarioError(f"{args.spec} is not valid JSON: {exc}") from exc
     scenario = scenario_from_dict(spec_obj)
     result = generate(scenario)

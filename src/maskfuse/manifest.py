@@ -193,8 +193,9 @@ def _decode_rle(entry, height: int, width: int, where: str, path):
 def load_manifest(path) -> VideoManifest:
     """Read and fully validate a manifest file.
 
-    Raises :class:`ManifestParseError` when the file cannot be read or is
-    not JSON, :class:`ManifestSchemaError` when fields are missing or of
+    Raises :class:`ManifestParseError` when the file cannot be read or
+    decoded as JSON (not UTF-8, nested too deeply, an integer too long),
+    :class:`ManifestSchemaError` when fields are missing or of
     the wrong type, and :class:`ManifestIntegrityError` when the mask data
     violates an invariant (naming the offending frame or instance) or
     would decode to more than ``MAX_MASK_PIXELS`` pixels.
@@ -205,7 +206,7 @@ def load_manifest(path) -> VideoManifest:
                 handle, object_pairs_hook=lambda pairs: _object_without_duplicates(pairs, path))
     except OSError as exc:
         raise ManifestParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ManifestParseError(f"{path} is not valid JSON: {exc}") from exc
 
     if not isinstance(obj, dict):

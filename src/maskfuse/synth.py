@@ -33,6 +33,17 @@ from .refine import MaskletSet, MaskSequence
 SHAPE_KINDS = ("rect", "disk")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_pair(value, what: str) -> tuple[int, int]:
+    """``value`` (a tuple or list of two ints) as a tuple, else a ScenarioError."""
+    if not isinstance(value, (tuple, list)) or len(value) != 2 or not all(map(_is_int, value)):
+        raise ScenarioError(f"{what} must be an integer pair, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class ShapeTrack:
     """One instance: a shape gliding along a straight path.
@@ -45,10 +56,34 @@ class ShapeTrack:
     """
 
     kind: str
-    start: tuple[int, int]
+    start: tuple[int, int] = (0, 0)
     velocity: tuple[int, int] = (0, 0)
     size: tuple[int, int] | None = None
     radius: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in SHAPE_KINDS:
+            raise ScenarioError(f"kind must be one of {SHAPE_KINDS}, got {self.kind!r}")
+        object.__setattr__(self, "start", _int_pair(self.start, "start"))
+        object.__setattr__(self, "velocity", _int_pair(self.velocity, "velocity"))
+        if self.kind == "rect":
+            if self.radius is not None:
+                raise ScenarioError(f"a rect takes 'size', not 'radius' (got {self.radius!r})")
+            size = _int_pair(self.size, "rect size")
+            if min(size) < 1:
+                raise ScenarioError(f"rect size must be positive, got {size}")
+            object.__setattr__(self, "size", size)
+        else:
+            if self.size is not None:
+                raise ScenarioError(f"a disk takes 'radius', not 'size' (got {self.size!r})")
+            if not _is_int(self.radius) or self.radius < 0:
+                raise ScenarioError(
+                    f"disk radius must be a non-negative integer, got {self.radius!r}")
+
+    @property
+    def extent(self) -> tuple[int, int]:
+        """(height, width) of the shape's bounding box."""
+        return self.size if self.kind == "rect" else (2 * self.radius + 1,) * 2
 
     def position(self, frame_index: int) -> tuple[int, int]:
         return (self.start[0] + frame_index * self.velocity[0],
@@ -76,20 +111,12 @@ class CorruptionSpec:
             if not isinstance(p, (int, float)) or isinstance(p, bool) or not 0.0 <= p <= 1.0:
                 raise ScenarioError(f"{name} must be a probability in [0, 1], got {p!r}")
         k = self.boundary_erosion_px
-        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+        if not _is_int(k) or k < 0:
             raise ScenarioError(f"boundary_erosion_px must be a non-negative integer, got {k!r}")
         for name in ("forced_drops", "forced_adds"):
-            events = []
-            for entry in getattr(self, name):
-                pair = tuple(entry)
-                if len(pair) != 2 or not all(
-                    isinstance(v, int) and not isinstance(v, bool) for v in pair
-                ):
-                    raise ScenarioError(
-                        f"{name} entries must be (frame, instance) integer pairs, got {entry!r}"
-                    )
-                events.append(pair)
-            object.__setattr__(self, name, tuple(sorted(set(events))))
+            events = {_int_pair(entry, f"{name} entry (0-based frame, instance)")
+                      for entry in getattr(self, name)}
+            object.__setattr__(self, name, tuple(sorted(events)))
 
 
 @dataclass(frozen=True)
@@ -106,6 +133,9 @@ class Scenario:
     video_id: str = "synthetic"
 
     def __post_init__(self) -> None:
+        for name in ("frames", "height", "width"):
+            if not _is_int(getattr(self, name)):
+                raise ScenarioError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.frames < 1:
             raise ScenarioError(f"frames must be at least 1, got {self.frames}")
         if self.height < 1 or self.width < 1:
@@ -124,15 +154,25 @@ class Scenario:
                 f"exceed the limit of {MAX_MASK_PIXELS} rendered mask pixels"
             )
         for idx, track in enumerate(instances, start=1):
-            self._check_track(idx, track)
-        target = tuple(self.target)
-        for iid in target:
-            if not (isinstance(iid, int) and not isinstance(iid, bool) and 1 <= iid <= n):
+            if not isinstance(track, ShapeTrack):
+                raise ScenarioError(f"instance {idx} is not a ShapeTrack: {track!r}")
+            box_h, box_w = track.extent
+            if box_h > self.height or box_w > self.width:
+                raise ScenarioError(
+                    f"instance {idx}: {track.kind} of {box_h}x{box_w} pixels does not fit "
+                    f"in {self.height}x{self.width}"
+                )
+        if not isinstance(self.target, (tuple, list)):
+            raise ScenarioError(f"target must be a list of instance ids, got {self.target!r}")
+        for iid in self.target:
+            if not (_is_int(iid) and 1 <= iid <= n):
                 raise ScenarioError(f"target id {iid!r} is not an instance id in 1..{n}")
-        target = tuple(sorted(set(target)))
+        target = tuple(sorted(set(self.target)))
         object.__setattr__(self, "target", target)
         if not target:
             raise ScenarioError("target must name at least one instance")
+        if not isinstance(self.corruption, CorruptionSpec):
+            raise ScenarioError(f"corruption is not a CorruptionSpec: {self.corruption!r}")
         non_target = set(range(1, n + 1)) - set(target)
         for frame, iid in self.corruption.forced_drops:
             if not 0 <= frame < self.frames:
@@ -144,43 +184,10 @@ class Scenario:
                 raise ScenarioError(f"forced add frame {frame} outside 0..{self.frames - 1}")
             if iid not in non_target:
                 raise ScenarioError(f"forced add instance {iid} is not a non-target instance")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ScenarioError(f"seed must be an integer, got {self.seed!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ScenarioError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not isinstance(self.video_id, str):
             raise ScenarioError(f"video_id must be a string, got {self.video_id!r}")
-
-    def _check_track(self, idx: int, track: ShapeTrack) -> None:
-        if not isinstance(track, ShapeTrack):
-            raise ScenarioError(f"instance {idx} is not a ShapeTrack: {track!r}")
-        if track.kind not in SHAPE_KINDS:
-            raise ScenarioError(f"instance {idx} has unknown shape kind {track.kind!r}")
-        for name in ("start", "velocity"):
-            pair = getattr(track, name)
-            if len(tuple(pair)) != 2 or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in pair
-            ):
-                raise ScenarioError(f"instance {idx} {name} must be an integer (row, col) pair")
-        if track.kind == "rect":
-            if track.size is None:
-                raise ScenarioError(f"instance {idx} is a rect but has no size")
-            sh, sw = track.size
-            if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1
-                       for v in (sh, sw)):
-                raise ScenarioError(f"instance {idx} rect size must be positive integers")
-            if sh > self.height or sw > self.width:
-                raise ScenarioError(
-                    f"instance {idx} rect {sh}x{sw} does not fit in "
-                    f"{self.height}x{self.width}"
-                )
-        else:
-            r = track.radius
-            if r is None or isinstance(r, bool) or not isinstance(r, int) or r < 0:
-                raise ScenarioError(f"instance {idx} disk radius must be a non-negative integer")
-            if 2 * r + 1 > self.height or 2 * r + 1 > self.width:
-                raise ScenarioError(
-                    f"instance {idx} disk of radius {r} does not fit in "
-                    f"{self.height}x{self.width}"
-                )
 
     @property
     def num_instances(self) -> int:
@@ -194,13 +201,12 @@ class Scenario:
 def _render_track(track: ShapeTrack, frame_index: int, height: int, width: int) -> Mask:
     """Rasterize one instance at one frame, clipping at the image edges."""
     row, col = track.position(frame_index)
+    box_h, box_w = track.extent
     if track.kind == "rect":
         top, left = row, col
-        box_h, box_w = track.size
     else:
         r = track.radius
         top, left = row - r, col - r
-        box_h = box_w = 2 * r + 1
     mask = empty_mask(height, width)
     r0, r1 = max(0, top), min(height, top + box_h)
     c0, c1 = max(0, left), min(width, left + box_w)
@@ -379,75 +385,56 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def _events_from_json(obj, name: str) -> tuple[tuple[int, int], ...]:
+    """1-based ``{"frame", "instance"}`` objects as 0-based (frame, instance) pairs."""
     if not isinstance(obj, list):
         raise ScenarioError(f"corruption.{name} must be a list")
     events = []
     for entry in obj:
-        if (not isinstance(entry, dict) or "frame" not in entry
-                or "instance" not in entry):
+        if not isinstance(entry, dict) or entry.keys() != {"frame", "instance"}:
             raise ScenarioError(
-                f"corruption.{name} entries must be objects with 'frame' and 'instance'"
+                f"corruption.{name} entries must be objects with keys 'frame' and 'instance', "
+                f"got {entry!r}"
             )
-        frame, iid = entry["frame"], entry["instance"]
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (frame, iid)):
-            raise ScenarioError(f"corruption.{name} frame/instance must be integers")
-        if frame < 1:
-            raise ScenarioError(f"corruption.{name} frame numbers are 1-based, got {frame}")
-        events.append((frame - 1, iid))
+        frame = entry["frame"]
+        if not _is_int(frame) or frame < 1:
+            raise ScenarioError(f"corruption.{name} frames are 1-based integers, got {frame!r}")
+        events.append((frame - 1, entry["instance"]))
     return tuple(events)
 
 
+def _build(cls, obj, where: str, **converted):
+    """``cls`` from the JSON object ``obj``, with ``converted`` in place of those keys.
+
+    A missing or unknown key (the constructor's ``TypeError``) or an invalid
+    value becomes a ScenarioError that starts with ``where``.
+    """
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    try:
+        return cls(**{**obj, **converted})
+    except (TypeError, ScenarioError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+
+
 def scenario_from_dict(obj) -> Scenario:
-    """Parse the JSON form produced by :func:`scenario_to_dict`."""
+    """Parse the JSON form produced by :func:`scenario_to_dict`.
+
+    The keys of each JSON object are the field names of the type it becomes
+    (:class:`Scenario`, :class:`ShapeTrack`, :class:`CorruptionSpec`), and
+    that type's constructor is the only check of its values.
+    """
     if not isinstance(obj, dict):
         raise ScenarioError(f"scenario must be a JSON object, got {type(obj).__name__}")
-    for key in ("frames", "height", "width", "instances", "target"):
-        if key not in obj:
-            raise ScenarioError(f"scenario is missing key {key!r}")
-    if not isinstance(obj["instances"], list):
-        raise ScenarioError("scenario 'instances' must be a list")
-    tracks = []
-    for idx, entry in enumerate(obj["instances"], start=1):
-        if not isinstance(entry, dict) or "kind" not in entry:
-            raise ScenarioError(f"instance {idx} must be an object with a 'kind'")
-        kind = entry["kind"]
-        if kind not in SHAPE_KINDS:
-            raise ScenarioError(f"instance {idx} has unknown shape kind {kind!r}")
-        for key in ("start", "velocity"):
-            if key in entry and (not isinstance(entry[key], list) or len(entry[key]) != 2):
-                raise ScenarioError(f"instance {idx} {key!r} must be a [row, col] pair")
-        try:
-            tracks.append(ShapeTrack(
-                kind=kind,
-                start=tuple(entry.get("start", (0, 0))),
-                velocity=tuple(entry.get("velocity", (0, 0))),
-                size=tuple(entry["size"]) if kind == "rect" and "size" in entry else None,
-                radius=entry.get("radius") if kind == "disk" else None,
-            ))
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"instance {idx} is malformed: {exc}") from exc
-    corruption_obj = obj.get("corruption", {})
-    if not isinstance(corruption_obj, dict):
-        raise ScenarioError("scenario 'corruption' must be an object")
-    spec = CorruptionSpec(
-        flicker_drop_prob=corruption_obj.get("flicker_drop_prob", 0.0),
-        spurious_add_prob=corruption_obj.get("spurious_add_prob", 0.0),
-        boundary_erosion_px=corruption_obj.get("boundary_erosion_px", 0),
-        forced_drops=_events_from_json(corruption_obj.get("forced_drops", []), "forced_drops"),
-        forced_adds=_events_from_json(corruption_obj.get("forced_adds", []), "forced_adds"),
-    )
-    if not isinstance(obj["target"], list):
-        raise ScenarioError("scenario 'target' must be a list of instance ids")
-    for key in ("frames", "height", "width"):
-        if isinstance(obj[key], bool) or not isinstance(obj[key], int):
-            raise ScenarioError(f"scenario {key!r} must be an integer")
-    return Scenario(
-        frames=obj["frames"],
-        height=obj["height"],
-        width=obj["width"],
-        instances=tuple(tracks),
-        target=tuple(obj["target"]),
-        corruption=spec,
-        seed=obj.get("seed", 0),
-        video_id=obj.get("video_id", "synthetic"),
-    )
+    fields = {}
+    if "instances" in obj:
+        if not isinstance(obj["instances"], list):
+            raise ScenarioError("scenario: 'instances' must be a list")
+        fields["instances"] = tuple(_build(ShapeTrack, entry, f"instance {idx}")
+                                    for idx, entry in enumerate(obj["instances"], start=1))
+    if "corruption" in obj:
+        spec = obj["corruption"]
+        events = {name: _events_from_json(spec[name], name)
+                  for name in ("forced_drops", "forced_adds")
+                  if isinstance(spec, dict) and name in spec}
+        fields["corruption"] = _build(CorruptionSpec, spec, "corruption", **events)
+    return _build(Scenario, obj, "scenario", **fields)

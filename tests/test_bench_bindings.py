@@ -1,0 +1,67 @@
+"""The benchmark's tracer (perfbench/tracer.py) rebinds package names from
+outside; these tests fail when one of those names goes or changes shape."""
+
+import importlib.util
+import json
+import pathlib
+from time import perf_counter
+
+import maskfuse.cli
+import maskfuse.manifest
+import maskfuse.masks
+import maskfuse.refine
+from maskfuse import fig2_scenario, generate, refine_video, scenario_to_dict
+
+TRACER_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def extra_bindings():
+    """What the tracer rebinds besides ``BINDINGS``."""
+    return (maskfuse.masks.RleMask.__dict__["from_json_dict"],
+            maskfuse.refine.RefineReport.to_json_dict, maskfuse.manifest.json)
+
+
+def test_traced_cli_pipeline_restores_every_binding(tmp_path, capsys):
+    tracer_mod = load_tracer()
+    originals = [getattr(module, attr) for module, attr, _, _ in tracer_mod.BINDINGS]
+    others = extra_bindings()
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(scenario_to_dict(fig2_scenario())))
+    d = tmp_path / "synth"
+    argvs = [
+        ["synth", "--spec", str(spec), "--out-dir", str(d)],
+        ["refine", "--coarse", str(d / "coarse.json"), "--tracked", str(d / "masklets.json"),
+         "--out", str(tmp_path / "refined.json"), "--window", "5",
+         "--report", str(tmp_path / "report.json")],
+        ["eval", "--pred", str(tmp_path / "refined.json"), "--gt", str(d / "gt.json")],
+        ["ablate", "--coarse", str(d / "coarse.json"), "--tracked", str(d / "masklets.json"),
+         "--gt", str(d / "gt.json"), "--windows", "2,5"],
+    ]
+    tracer = tracer_mod.Tracer()
+    tracer.install(0)
+    try:
+        t0 = perf_counter()
+        codes = [maskfuse.cli.main(argv) for argv in argvs]
+        wall = perf_counter() - t0
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0, 0, 0], capsys.readouterr().err
+    restored = [getattr(module, attr) for module, attr, _, _ in tracer_mod.BINDINGS]
+    assert all(a is b for a, b in zip(restored, originals))
+    assert all(a is b for a, b in zip(extra_bindings(), others))
+    assert tracer_mod.pass_summary(tracer.spans, 0, wall)["trace.nesting_ok"] == 1.0
+    names = {span[0] for span in tracer.spans}
+    assert {"synth.scenario", "refine.gate", "metrics.region_j"} <= names
+
+
+def test_refine_video_accepts_the_workers_argument():
+    result = generate(fig2_scenario())
+    refined = refine_video(result.coarse, result.masklets, workers=2)
+    assert refined.equals(refine_video(result.coarse, result.masklets))

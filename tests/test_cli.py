@@ -390,3 +390,53 @@ def test_failed_refine_writes_no_output(tmp_path, capsys):
 def test_cli_requires_a_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+RECT = {"kind": "rect", "size": [2, 2]}
+
+
+@pytest.mark.parametrize("overrides, named", [
+    ({"instances": [{"kind": "rect", "size": [3]}]}, "size"),
+    ({"seed": -1}, "seed"),
+    ({"instances": [{**RECT, "velocty": [0, 1]}]}, "velocty"),
+    ({"colour": "red"}, "colour"),
+    ({"instances": [RECT, {**RECT, "colour": "red"}]}, "instance 2"),
+    ({"corruption": {"flicker_drop_probability": 0.5}}, "flicker_drop_probability"),
+    ({"corruption": {"forced_drops": [{"frame": 1, "instance": 1, "colour": 1}]}},
+     "forced_drops"),
+    ({"instances": [{**RECT, "radius": 1}]}, "radius"),
+    ({"instances": [{"kind": "disk", "radius": 1, "size": [3, 3]}]}, "size"),
+    ({"instances": [{"size": [2, 2]}]}, "kind"),
+    ({"frames": 2.5}, "frames"),
+    ({"target": 1}, "target"),
+    ({"instances": [RECT, [1]]}, "instance 2"),
+], ids=["rect-size-of-one", "negative-seed", "velocty", "unknown-top-level-key",
+        "unknown-instance-key", "unknown-corruption-key", "unknown-event-key",
+        "rect-with-radius", "disk-with-size", "missing-kind", "fractional-frames",
+        "target-not-a-list", "instance-not-an-object"])
+def test_malformed_spec_is_one_scenario_error_naming_the_key(tmp_path, capsys, overrides,
+                                                              named):
+    code, out_dir = run_synth(tmp_path, synth_spec(**overrides))
+    assert code == 1
+    err = one_line_error(capsys)
+    assert err["type"] == "ScenarioError"
+    assert named in err["message"]
+    assert not out_dir.exists()
+
+
+DEEP = b"[" * 200_000 + b"]" * 200_000
+
+
+@pytest.mark.parametrize("payload", [DEEP, b"\xff", b"1" * 5000],
+                         ids=["deeply-nested", "not-utf8", "5000-digit-int"])
+@pytest.mark.parametrize("command, error", [("eval", "ManifestParseError"),
+                                            ("synth", "ScenarioError")])
+def test_undecodable_json_is_one_typed_error(tmp_path, capsys, payload, command, error):
+    path = tmp_path / "in.json"
+    path.write_bytes(payload)
+    out_dir = tmp_path / "out"
+    argv = (["eval", "--pred", str(path), "--gt", str(path)] if command == "eval"
+            else ["synth", "--spec", str(path), "--out-dir", str(out_dir)])
+    assert main(argv) == 1
+    assert one_line_error(capsys)["type"] == error
+    assert not out_dir.exists()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -246,3 +248,36 @@ def test_scenario_from_dict_rejects_malformed_input():
     bad["corruption"] = {"forced_drops": [{"frame": 0, "instance": 1}]}  # 0 in a 1-based file
     with pytest.raises(ScenarioError):
         scenario_from_dict(bad)
+
+
+def test_types_validate_what_they_hold():
+    with pytest.raises(ScenarioError, match="frames"):
+        simple_scenario(frames=2.5)
+    with pytest.raises(ScenarioError, match="seed"):
+        simple_scenario(seed=-1)
+    with pytest.raises(ScenarioError, match="corruption"):
+        simple_scenario(corruption={})
+    with pytest.raises(ScenarioError, match="size"):
+        ShapeTrack(kind="rect", size=(3,))
+    with pytest.raises(ScenarioError, match="radius"):
+        ShapeTrack(kind="rect", size=(2, 2), radius=1)
+    with pytest.raises(ScenarioError, match="size"):
+        ShapeTrack(kind="disk", radius=1, size=(3, 3))
+    with pytest.raises(ScenarioError, match="velocity"):
+        ShapeTrack(kind="disk", radius=1, velocity=(0, 1.5))
+    track = ShapeTrack(kind="rect", size=[2, 2], velocity=[1, 0])
+    assert (track.start, track.velocity, track.size) == ((0, 0), (1, 0), (2, 2))
+
+
+def test_scenario_json_keys_are_the_field_names():
+    """The JSON form has no names of its own: each object's keys are the
+    fields of the type :func:`scenario_from_dict` builds from it."""
+    def names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    obj = scenario_to_dict(simple_scenario())
+    assert set(obj) == names(Scenario)
+    assert set(obj["corruption"]) == names(CorruptionSpec)
+    rect, disk = obj["instances"]
+    assert set(rect) == names(ShapeTrack) - {"radius"}
+    assert set(disk) == names(ShapeTrack) - {"size"}
