@@ -38,7 +38,7 @@ from .errors import (
     ManifestSchemaError,
     RleFormatError,
 )
-from .masks import MAX_MASK_PIXELS, RleMask, rle_decode, rle_encode
+from .masks import MAX_MASK_PIXELS, Mask, RleMask, rle_decode, rle_encode
 from .refine import MaskletSet, MaskSequence
 
 KINDS = ("coarse", "masklets", "refined", "gt")
@@ -47,13 +47,20 @@ SEQUENCE_KINDS = tuple(k for k in KINDS if k != "masklets")
 
 @dataclass(frozen=True, eq=False)
 class VideoManifest:
-    """In-memory manifest: identity plus fully validated mask data."""
+    """In-memory manifest: identity plus fully validated mask data.
+
+    ``data`` is a :class:`MaskletSet` for kind ``"masklets"``; for the other
+    kinds it may be any mask sequence or iterable of masks, and is stored as
+    a :class:`MaskSequence`.
+    """
 
     video_id: str
     kind: str
     data: MaskSequence | MaskletSet
 
     def __post_init__(self) -> None:
+        if not isinstance(self.video_id, str):
+            raise ValueError(f"video_id must be a string, got {self.video_id!r}")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         wants_masklets = self.kind == "masklets"
@@ -61,6 +68,8 @@ class VideoManifest:
             raise ValueError(
                 f"kind {self.kind!r} does not match data of type {type(self.data).__name__}"
             )
+        if not wants_masklets:
+            object.__setattr__(self, "data", MaskSequence(frames=self.data))
 
     @property
     def height(self) -> int:
@@ -94,9 +103,7 @@ class VideoManifest:
 
 def sequence_manifest(video_id: str, kind: str, sequence) -> VideoManifest:
     """Wrap a mask sequence, refined result or iterable of masks for saving."""
-    if kind not in SEQUENCE_KINDS:
-        raise ValueError(f"kind must be one of {SEQUENCE_KINDS}, got {kind!r}")
-    return VideoManifest(video_id=video_id, kind=kind, data=MaskSequence(frames=sequence))
+    return VideoManifest(video_id=video_id, kind=kind, data=sequence)
 
 
 def masklet_manifest(video_id: str, masklets: MaskletSet) -> VideoManifest:
@@ -114,14 +121,15 @@ def manifest_to_json_dict(manifest: VideoManifest) -> dict:
         "num_frames": manifest.num_frames,
     }
     if manifest.kind == "masklets":
-        masklets: MaskletSet = manifest.data
-        out["instances"] = {
-            str(iid): [rle_encode(f).to_json_dict() for f in masklets.tracks[iid].frames]
-            for iid in masklets.instance_ids
-        }
+        out["instances"] = {str(iid): _frames_to_json(seq)
+                            for iid, seq in manifest.data.tracks.items()}
     else:
-        out["frames"] = [rle_encode(f).to_json_dict() for f in manifest.data.frames]
+        out["frames"] = _frames_to_json(manifest.data)
     return out
+
+
+def _frames_to_json(sequence: MaskSequence) -> list[dict]:
+    return [rle_encode(f).to_json_dict() for f in sequence.frames]
 
 
 def write_json_atomic(path, obj) -> None:
@@ -177,17 +185,30 @@ def _require_budget(path, num_frames: int, height: int, width: int, sequences: i
         )
 
 
-def _decode_rle(entry, height: int, width: int, where: str, path):
-    try:
-        rle = RleMask.from_json_dict(entry)
-    except RleFormatError as exc:
-        raise ManifestIntegrityError(f"{path}: {where}: {exc}") from exc
-    if (rle.height, rle.width) != (height, width):
+def _frames_from_json(entries, instance: int | None, num_frames: int, height: int,
+                     width: int, path) -> list[Mask]:
+    """Decode one frame list: ``frames``, or instance ``instance``'s list of a masklet set."""
+    name = "'frames'" if instance is None else f"instance {instance}"
+    if not isinstance(entries, list):
+        raise ManifestSchemaError(f"{path}: {name} must be a list of RLE objects")
+    if len(entries) != num_frames:
         raise ManifestIntegrityError(
-            f"{path}: {where}: RLE is {rle.height}x{rle.width}, "
-            f"manifest header says {height}x{width}"
+            f"{path}: {name} has {len(entries)} frames, manifest header says {num_frames}"
         )
-    return rle_decode(rle)
+    frames = []
+    for t, entry in enumerate(entries, start=1):
+        where = f"frame {t}" if instance is None else f"instance {instance} frame {t}"
+        try:
+            rle = RleMask.from_json_dict(entry)
+        except RleFormatError as exc:
+            raise ManifestIntegrityError(f"{path}: {where}: {exc}") from exc
+        if (rle.height, rle.width) != (height, width):
+            raise ManifestIntegrityError(
+                f"{path}: {where}: RLE is {rle.height}x{rle.width}, "
+                f"manifest header says {height}x{width}"
+            )
+        frames.append(rle_decode(rle))
+    return frames
 
 
 def load_manifest(path) -> VideoManifest:
@@ -225,52 +246,23 @@ def load_manifest(path) -> VideoManifest:
     if num_frames < 1:
         raise ManifestSchemaError(f"{path}: 'num_frames' must be at least 1, got {num_frames}")
 
-    if kind == "masklets":
-        instances = _require_key(obj, "instances", path)
-        if not isinstance(instances, dict):
-            raise ManifestSchemaError(f"{path}: 'instances' must be an object")
-        key_by_id: dict[int, str] = {}
-        for key in instances:
-            if not (isinstance(key, str) and key.isdigit() and str(int(key)) == key):
-                raise ManifestSchemaError(
-                    f"{path}: instance keys must be decimal strings, got {key!r}"
-                )
-            key_by_id[int(key)] = key
-        ids = sorted(key_by_id)
-        if ids != list(range(1, len(ids) + 1)):
-            raise ManifestIntegrityError(
-                f"{path}: instance ids must be contiguous from 1, got {ids}"
-            )
-        _require_budget(path, num_frames, height, width, len(ids))
-        tracks = {}
-        for iid in ids:
-            entries = instances[key_by_id[iid]]
-            if not isinstance(entries, list):
-                raise ManifestSchemaError(f"{path}: instance {iid} must map to a list of RLE objects")
-            if len(entries) != num_frames:
-                raise ManifestIntegrityError(
-                    f"{path}: instance {iid} has {len(entries)} frames, "
-                    f"manifest header says {num_frames}"
-                )
-            frames = tuple(
-                _decode_rle(entry, height, width, f"instance {iid} frame {t + 1}", path)
-                for t, entry in enumerate(entries)
-            )
-            tracks[iid] = MaskSequence(frames=frames)
-        data = MaskletSet.from_tracks(tracks, num_frames=num_frames, height=height, width=width)
-        return VideoManifest(video_id=video_id, kind=kind, data=data)
+    if kind != "masklets":
+        entries = _require_key(obj, "frames", path)
+        _require_budget(path, num_frames, height, width, 1)
+        frames = _frames_from_json(entries, None, num_frames, height, width, path)
+        return VideoManifest(video_id=video_id, kind=kind, data=frames)
 
-    frames_obj = _require_key(obj, "frames", path)
-    if not isinstance(frames_obj, list):
-        raise ManifestSchemaError(f"{path}: 'frames' must be a list of RLE objects")
-    if len(frames_obj) != num_frames:
-        raise ManifestIntegrityError(
-            f"{path}: 'frames' has {len(frames_obj)} entries, "
-            f"manifest header says {num_frames}"
-        )
-    _require_budget(path, num_frames, height, width, 1)
-    frames = tuple(
-        _decode_rle(entry, height, width, f"frame {t + 1}", path)
-        for t, entry in enumerate(frames_obj)
-    )
-    return VideoManifest(video_id=video_id, kind=kind, data=MaskSequence(frames=frames))
+    instances = _require_key(obj, "instances", path)
+    if not isinstance(instances, dict):
+        raise ManifestSchemaError(f"{path}: 'instances' must be an object")
+    for key in instances:
+        if not (key.isdigit() and str(int(key)) == key):
+            raise ManifestSchemaError(f"{path}: instance keys must be decimal strings, got {key!r}")
+    _require_budget(path, num_frames, height, width, len(instances))
+    tracks = {iid: _frames_from_json(instances[str(iid)], iid, num_frames, height, width, path)
+              for iid in sorted(map(int, instances))}
+    try:
+        data = MaskletSet(tracks=tracks, num_frames=num_frames, height=height, width=width)
+    except ValueError as exc:
+        raise ManifestIntegrityError(f"{path}: {exc}") from exc
+    return VideoManifest(video_id=video_id, kind=kind, data=data)

@@ -139,6 +139,10 @@ class RleMask:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        for name in ("height", "width"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise RleFormatError(f"RLE {name} must be an integer, got {value!r}")
         if self.height < 1 or self.width < 1:
             raise RleFormatError(
                 f"RLE dimensions must be at least 1x1, got {self.height}x{self.width}"
@@ -179,14 +183,10 @@ class RleMask:
         for key in ("h", "w", "counts"):
             if key not in obj:
                 raise RleFormatError(f"RLE object is missing key {key!r}")
-        h, w, counts = obj["h"], obj["w"], obj["counts"]
-        if isinstance(h, bool) or not isinstance(h, int):
-            raise RleFormatError(f"RLE 'h' must be an integer, got {h!r}")
-        if isinstance(w, bool) or not isinstance(w, int):
-            raise RleFormatError(f"RLE 'w' must be an integer, got {w!r}")
+        counts = obj["counts"]
         if not isinstance(counts, list):
             raise RleFormatError(f"RLE 'counts' must be a list, got {type(counts).__name__}")
-        return cls(height=h, width=w, counts=tuple(counts))
+        return cls(height=obj["h"], width=obj["w"], counts=tuple(counts))
 
 
 def rle_encode(mask: Mask) -> RleMask:

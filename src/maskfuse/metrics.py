@@ -153,11 +153,11 @@ def evaluate_sequence(pred, gt, tolerance_px: int | None = None) -> EvalResult:
     """
     pred = MaskSequence(frames=pred)
     gt = MaskSequence(frames=gt)
-    if pred.num_frames != gt.num_frames:
+    if (pred.num_frames, pred.height, pred.width) != (gt.num_frames, gt.height, gt.width):
         raise AlignmentError(
-            f"prediction has {pred.num_frames} frames, ground truth {gt.num_frames}"
+            f"prediction has {pred.num_frames} frames of {pred.height}x{pred.width}, "
+            f"ground truth {gt.num_frames} frames of {gt.height}x{gt.width}"
         )
-    require_same_shape(pred.frames[0], gt.frames[0])
     if tolerance_px is None:
         tolerance_px = default_boundary_tolerance(pred.height, pred.width)
     per_j = []

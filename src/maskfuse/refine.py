@@ -85,47 +85,51 @@ class MaskSequence:
 class MaskletSet:
     """Tracked per-instance masklets, all covering the same frame range.
 
-    ``tracks`` maps 1-based instance id to that instance's mask sequence.
-    Ids must be contiguous ``1..N``; ``N = 0`` (no tracked instances) is
-    allowed and makes the refiner fall back to the coarse input everywhere.
+    ``tracks`` maps 1-based instance id to that instance's mask sequence
+    (or any iterable of masks, which becomes one). Ids must be the ints
+    ``1..N`` and every track must cover the same frames of the same size;
+    the constructor checks both and takes the dimensions from the tracks.
+    ``N = 0`` (no tracked instances) is allowed with explicit dimensions,
+    and makes the refiner fall back to the coarse input everywhere.
     """
 
     tracks: dict[int, MaskSequence]
-    num_frames: int
-    height: int
-    width: int
+    num_frames: int | None = None
+    height: int | None = None
+    width: int | None = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.tracks, dict):
+            raise ValueError(f"tracks must be a dict, got {type(self.tracks).__name__}")
+        ids = list(self.tracks)
+        if (any(isinstance(i, bool) or not isinstance(i, int) for i in ids)
+                or sorted(ids) != list(range(1, len(ids) + 1))):
+            raise ValueError(f"instance ids must be contiguous integers starting at 1, got {ids}")
+        tracks = {iid: seq if isinstance(seq, MaskSequence) else MaskSequence(frames=seq)
+                  for iid, seq in sorted(self.tracks.items())}
+        object.__setattr__(self, "tracks", tracks)
+        if not tracks:
+            dims = (self.num_frames, self.height, self.width)
+            if not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims):
+                raise ValueError("an empty masklet set needs explicit num_frames, height and "
+                                 f"width of at least 1, got {dims}")
+            return
+        dims = (tracks[1].num_frames, tracks[1].height, tracks[1].width)
+        for iid, seq in tracks.items():
+            if (seq.num_frames, seq.height, seq.width) != dims:
+                raise ValueError(f"masklet {iid} covers {seq.num_frames} frames of {seq.height}x"
+                                 f"{seq.width}, expected {dims[0]} frames of {dims[1]}x{dims[2]}")
+        for name, value in zip(("num_frames", "height", "width"), dims):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_tracks(cls, tracks: dict[int, MaskSequence] | list[MaskSequence],
                     *, num_frames: int | None = None,
                     height: int | None = None, width: int | None = None) -> "MaskletSet":
-        """Build a set from a list (implicitly ids 1..N) or an id-keyed dict.
-
-        Explicit dimensions are only required when ``tracks`` is empty.
-        """
-        if isinstance(tracks, dict):
-            track_map = dict(tracks)
-        else:
-            track_map = {i + 1: seq for i, seq in enumerate(tracks)}
-        ids = sorted(track_map)
-        if ids != list(range(1, len(ids) + 1)):
-            raise ValueError(f"instance ids must be contiguous starting at 1, got {ids}")
-        if not track_map:
-            if num_frames is None or height is None or width is None:
-                raise ValueError("an empty masklet set needs explicit num_frames, height and width")
-            return cls(tracks={}, num_frames=num_frames, height=height, width=width)
-        track_map = {iid: seq if isinstance(seq, MaskSequence) else MaskSequence(frames=seq)
-                     for iid, seq in track_map.items()}
-        first = track_map[1]
-        for iid, seq in track_map.items():
-            if (seq.num_frames, seq.height, seq.width) != (first.num_frames, first.height, first.width):
-                raise ValueError(
-                    f"masklet {iid} covers {seq.num_frames} frames of "
-                    f"{seq.height}x{seq.width}, expected {first.num_frames} frames of "
-                    f"{first.height}x{first.width}"
-                )
-        return cls(tracks=track_map, num_frames=first.num_frames,
-                   height=first.height, width=first.width)
+        """Build a set from a list (implicitly ids 1..N) or an id-keyed dict."""
+        if not isinstance(tracks, dict):
+            tracks = {i + 1: seq for i, seq in enumerate(tracks)}
+        return cls(tracks=tracks, num_frames=num_frames, height=height, width=width)
 
     @property
     def instance_ids(self) -> tuple[int, ...]:

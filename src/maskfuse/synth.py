@@ -142,6 +142,8 @@ class Scenario:
             raise ScenarioError(
                 f"dimensions must be at least 1x1, got {self.height}x{self.width}"
             )
+        if not isinstance(self.instances, (tuple, list)):
+            raise ScenarioError(f"instances must be a list of ShapeTrack, got {self.instances!r}")
         instances = tuple(self.instances)
         object.__setattr__(self, "instances", instances)
         if not instances:
@@ -260,9 +262,7 @@ def generate(scenario: Scenario) -> SynthResult:
         iid: tuple(_render_track(track, t, H, W) for t in range(T))
         for iid, track in enumerate(scenario.instances, start=1)
     }
-    masklets = MaskletSet.from_tracks(
-        {iid: MaskSequence(frames=frames) for iid, frames in rendered.items()}
-    )
+    masklets = MaskletSet(tracks=rendered)
     gt_frames = tuple(
         union([rendered[iid][t] for iid in scenario.target], shape=(H, W))
         for t in range(T)

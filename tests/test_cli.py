@@ -154,6 +154,16 @@ def test_eval_matches_library_and_json_out(tmp_path, capsys):
                                 zip(expected.per_frame_j, expected.per_frame_f)]
 
 
+def test_eval_frame_size_mismatch_is_one_alignment_error(tmp_path, capsys):
+    gt_path, pred_path = tmp_path / "gt.json", tmp_path / "pred.json"
+    save_manifest(gt_path, sequence_manifest("v", "gt", [np.zeros((2, 2), dtype=bool)]))
+    save_manifest(pred_path, sequence_manifest("v", "coarse", [np.zeros((2, 3), dtype=bool)]))
+    assert main(["eval", "--pred", str(pred_path), "--gt", str(gt_path)]) == 1
+    err = one_line_error(capsys)
+    assert err["type"] == "AlignmentError"
+    assert "2x3" in err["message"] and "2x2" in err["message"]
+
+
 # --- synth ---------------------------------------------------------------------
 
 def test_synth_writes_all_artifacts(tmp_path, capsys):

@@ -299,3 +299,41 @@ def test_masklet_budget_counts_every_instance(tmp_path, monkeypatch):
     with pytest.raises(ManifestIntegrityError, match=f"{side}x{side}"):
         load_manifest(write_json(tmp_path / "two.json", payload))
     assert decoded == []
+
+
+def test_video_manifest_makes_sequence_data_a_mask_sequence():
+    manifest = VideoManifest(video_id="v", kind="coarse", data=[empty_mask(2, 3)])
+    assert isinstance(manifest.data, MaskSequence)
+    assert (manifest.num_frames, manifest.height, manifest.width) == (1, 2, 3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sequence_manifest(5, "gt", [empty_mask(2, 2)]),
+    lambda: masklet_manifest(None, MaskletSet.from_tracks({}, num_frames=1, height=2, width=2)),
+], ids=["sequence", "masklets"])
+def test_video_manifest_rejects_a_non_string_video_id(tmp_path, make):
+    with pytest.raises(ValueError, match="video_id"):
+        save_manifest(tmp_path / "m.json", make())
+    assert os.listdir(tmp_path) == []
+
+
+def masklet_payload(instances, num_frames=1) -> dict:
+    return {"video_id": "v", "kind": "masklets", "height": 2, "width": 2,
+            "num_frames": num_frames, "instances": instances}
+
+
+@pytest.mark.parametrize("payload, error, message", [
+    (coarse_payload([empty_mask(2, 2)], 2, 2) | {"frames": {"1": 2}},
+     ManifestSchemaError, "'frames' must be a list of RLE objects"),
+    (masklet_payload({"1": {"h": 2}}),
+     ManifestSchemaError, "instance 1 must be a list of RLE objects"),
+    (coarse_payload([empty_mask(2, 2)] * 3, 2, 2) | {"num_frames": 4},
+     ManifestIntegrityError, "'frames' has 3 frames, manifest header says 4"),
+    (masklet_payload({"1": [rle_obj(empty_mask(2, 2))] * 3}, num_frames=4),
+     ManifestIntegrityError, "instance 1 has 3 frames, manifest header says 4"),
+], ids=["frames-not-a-list", "instance-not-a-list", "frames-too-few", "instance-too-few"])
+def test_both_kinds_read_frame_lists_alike(tmp_path, payload, error, message):
+    path = write_json(tmp_path / "m.json", payload)
+    with pytest.raises(error) as info:
+        load_manifest(path)
+    assert str(info.value) == f"{path}: {message}"

@@ -276,3 +276,19 @@ def test_rle_from_json_rejects_malformed_objects():
         RleMask.from_json_dict({"h": 2, "w": "2", "counts": [4]})
     with pytest.raises(RleFormatError):
         RleMask.from_json_dict({"h": 2, "w": 2, "counts": "4"})
+
+
+@pytest.mark.parametrize("height, width, counts, message", [
+    (2.0, 2, (4,), "RLE height must be an integer, got 2.0"),
+    ("2", 2, (4,), "RLE height must be an integer, got '2'"),
+    (True, 4, (4,), "RLE height must be an integer, got True"),
+    (2, 2.0, (4,), "RLE width must be an integer, got 2.0"),
+    (4, False, (0,), "RLE width must be an integer, got False"),
+])
+def test_rle_dimensions_must_be_integers(height, width, counts, message):
+    with pytest.raises(RleFormatError) as info:
+        RleMask(height=height, width=width, counts=counts)
+    assert str(info.value) == message
+    with pytest.raises(RleFormatError) as info:
+        RleMask.from_json_dict({"h": height, "w": width, "counts": list(counts)})
+    assert str(info.value) == message

@@ -291,3 +291,8 @@ def test_evaluate_sequence_rejects_ragged_and_empty_input():
         evaluate_sequence([empty_mask(2, 2)] * 2, ragged)
     with pytest.raises(ValueError):
         evaluate_sequence([], [])
+
+
+def test_evaluate_sequence_frame_size_mismatch_is_alignment_error():
+    with pytest.raises(AlignmentError, match="2x2.*2x3"):
+        evaluate_sequence([empty_mask(2, 2)], [empty_mask(2, 3)])

@@ -387,3 +387,34 @@ def test_refine_matches_oracle_spot_checks():
             assert (record.start, record.stop) == (s, e)
             assert [f.combination for f in record.frames] == combos
             assert record.selected == selected
+
+
+@pytest.mark.parametrize("tracks, dims", [
+    ({2: seq_of(empty_mask(1, 1))}, dict(num_frames=7, height=1, width=1)),
+    ({1: seq_of(empty_mask(2, 2)), 3: seq_of(empty_mask(2, 2))}, {}),
+    ({1: seq_of(empty_mask(2, 2)), 2: seq_of(empty_mask(2, 3))}, {}),
+    ({1: seq_of(empty_mask(2, 2)), 2: seq_of(empty_mask(2, 2), empty_mask(2, 2))}, {}),
+    ({1: seq_of(empty_mask(2, 2)), "2": seq_of(empty_mask(2, 2))}, {}),
+    ({True: seq_of(empty_mask(2, 2))}, {}),
+    ([seq_of(empty_mask(2, 2))], {}),
+    ({}, {}),
+    ({}, dict(num_frames=0, height=2, width=2)),
+], ids=["id-2-only", "gap", "misaligned-size", "misaligned-length", "mixed-key-types",
+        "bool-key", "list-not-dict", "empty-without-dims", "empty-with-zero-frames"])
+def test_masklet_set_constructor_rejects_what_it_cannot_hold(tracks, dims):
+    with pytest.raises(ValueError):
+        MaskletSet(tracks=tracks, **dims)
+
+
+def test_masklet_set_from_tracks_rejects_mixed_key_types():
+    with pytest.raises(ValueError, match="contiguous"):
+        MaskletSet.from_tracks({1: seq_of(empty_mask(2, 2)), "2": seq_of(empty_mask(2, 2))})
+
+
+def test_masklet_set_constructor_takes_dims_from_tracks_in_id_order():
+    a = [mask_from_rows("#."), mask_from_rows(".#")]
+    b = seq_of(mask_from_rows(".."), mask_from_rows("##"))
+    ms = MaskletSet(tracks={2: b, 1: a})
+    assert list(ms.tracks) == [1, 2]
+    assert (ms.num_frames, ms.height, ms.width) == (2, 1, 2)
+    assert isinstance(ms.tracks[1], MaskSequence) and ms.tracks[2] is b

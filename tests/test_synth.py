@@ -269,6 +269,11 @@ def test_types_validate_what_they_hold():
     assert (track.start, track.velocity, track.size) == ((0, 0), (1, 0), (2, 2))
 
 
+def test_scenario_rejects_non_list_instances():
+    with pytest.raises(ScenarioError, match="instances"):
+        Scenario(frames=2, height=8, width=8, instances=5, target=(1,))
+
+
 def test_scenario_json_keys_are_the_field_names():
     """The JSON form has no names of its own: each object's keys are the
     fields of the type :func:`scenario_from_dict` builds from it."""
