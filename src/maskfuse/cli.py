@@ -28,7 +28,7 @@ from .manifest import (
     sequence_manifest,
     write_json_atomic,
 )
-from .metrics import EvalResult, evaluate_sequence
+from .metrics import evaluate_sequence
 from .overlay import export_overlay
 from .refine import DEFAULT_TAU, DEFAULT_WINDOW, RefineConfig, refine_video
 from .synth import corruption_report, generate, scenario_from_dict
@@ -80,14 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _format_scores(result: EvalResult) -> str:
-    lines = []
-    for label, value in (("J:", result.j_mean), ("F:", result.f_mean),
-                         ("J&F:", result.jf_mean)):
-        lines.append(f"{label:<4} {value * 100.0:.2f}")
-    return "\n".join(lines)
-
-
 def _cmd_refine(args) -> int:
     coarse_manifest = load_manifest(args.coarse)
     coarse = coarse_manifest.require_sequence(args.coarse)
@@ -109,7 +101,8 @@ def _cmd_eval(args) -> int:
     result = evaluate_sequence(pred, gt)
     if args.json_out is not None:
         write_json_atomic(args.json_out, result.to_json_dict())
-    print(_format_scores(result))
+    for label, value in result.summary().items():
+        print(f"{label + ':':<4} {value:.2f}")
     return 0
 
 
@@ -155,21 +148,20 @@ def _cmd_ablate(args) -> int:
     tracked = load_manifest(args.tracked).require_masklets(args.tracked)
     gt = load_manifest(args.gt).require_sequence(args.gt)
 
-    rows = []
     baseline = evaluate_sequence(coarse, gt)
-    rows.append(("baseline", None, baseline))
+    rows = [{"method": "baseline", "window": None, **baseline.summary()}]
     for w in windows:
         refined = refine_video(coarse, tracked, RefineConfig(window=w))
-        rows.append(("refined", w, evaluate_sequence(refined, gt)))
+        scores = evaluate_sequence(refined, gt).summary()
+        rows.append({"method": "refined", "window": w, **scores})
 
-    cells = [("method", "window", "J", "F", "J&F")]
-    for method, w, result in rows:
+    header = ("method", "window", "J", "F", "J&F")
+    cells = [header]
+    for row in rows:
         cells.append((
-            method,
-            "-" if w is None else str(w),
-            f"{result.j_mean * 100.0:.2f}",
-            f"{result.f_mean * 100.0:.2f}",
-            f"{result.jf_mean * 100.0:.2f}",
+            row["method"],
+            "-" if row["window"] is None else str(row["window"]),
+            *(f"{row[key]:.2f}" for key in header[2:]),
         ))
     widths = [max(len(row[col]) for row in cells) for col in range(5)]
     for row in cells:
@@ -178,16 +170,7 @@ def _cmd_ablate(args) -> int:
         print("  ".join(cols).rstrip())
 
     if args.json_out is not None:
-        write_json_atomic(args.json_out, [
-            {
-                "method": method,
-                "window": w,
-                "J": result.j_mean * 100.0,
-                "F": result.f_mean * 100.0,
-                "J&F": result.jf_mean * 100.0,
-            }
-            for method, w, result in rows
-        ])
+        write_json_atomic(args.json_out, rows)
     return 0
 
 

@@ -122,7 +122,6 @@ def iou(a: Mask, b: Mask) -> float:
     Returns 1.0 when both masks are empty: both sources agree there is no
     object, which is the usual convention for absent-object frames.
     """
-    require_same_shape(a, b)
     inter = intersection_area(a, b)
     union_px = area(a) + area(b) - inter
     if union_px == 0:
@@ -148,12 +147,11 @@ class RleMask:
                 f"RLE dimensions must be at least 1x1, got {self.height}x{self.width}"
             )
         counts = tuple(self.counts)
-        object.__setattr__(self, "counts", counts)
         if not counts:
             raise RleFormatError("RLE counts must not be empty")
         # Counts made by rle_encode or parsed from JSON are plain ints and pass
-        # these three C-level checks; anything else takes the loop, which
-        # accepts numpy integers and names the first bad position.
+        # these three C-level checks; anything else takes the loop, which names
+        # the first bad position and turns numpy integers into plain ints.
         if not (set(map(type, counts)) <= {int} and min(counts) >= 0
                 and 0 not in counts[1:]):
             for pos, count in enumerate(counts):
@@ -163,6 +161,8 @@ class RleMask:
                     raise RleFormatError(f"RLE count at position {pos} is negative: {count}")
                 if count == 0 and pos > 0:
                     raise RleFormatError(f"RLE count at position {pos} is zero (only the leading count may be 0)")
+            counts = tuple(map(int, counts))
+        object.__setattr__(self, "counts", counts)
         total = sum(counts)
         expected = self.height * self.width
         if total != expected:

@@ -97,59 +97,71 @@ def boundary_f(pred: Mask, gt: Mask, tolerance_px: int | None = None) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
+def _percent(score: float) -> float:
+    """A score in [0, 1] on the conventional 0-100 scale."""
+    return score * 100.0
+
+
 @dataclass(frozen=True)
 class EvalResult:
-    """Sequence-level scores plus the per-frame values behind them.
+    """Per-frame region J and boundary F of a sequence; the means derive from them.
 
-    All values live in [0, 1]; ``to_json_dict`` scales to the conventional
-    0-100 range.
+    All values live in [0, 1]; ``summary`` and ``to_json_dict`` scale to the
+    conventional 0-100 range.
     """
 
-    j_mean: float
-    f_mean: float
-    jf_mean: float
     per_frame_j: tuple[float, ...]
     per_frame_f: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.jf_mean != (self.j_mean + self.f_mean) / 2.0:
-            raise ValueError("jf_mean must equal the exact mean of j_mean and f_mean")
-        if len(self.per_frame_j) != len(self.per_frame_f):
-            raise ValueError("per-frame J and F lists must have equal length")
+        pj = tuple(float(v) for v in self.per_frame_j)
+        pf = tuple(float(v) for v in self.per_frame_f)
+        if not pj or len(pj) != len(pf):
+            raise ValueError("per-frame score lists must be non-empty and equally long")
+        object.__setattr__(self, "per_frame_j", pj)
+        object.__setattr__(self, "per_frame_f", pf)
 
     @classmethod
     def from_per_frame(cls, per_frame_j, per_frame_f) -> "EvalResult":
-        pj = tuple(float(v) for v in per_frame_j)
-        pf = tuple(float(v) for v in per_frame_f)
-        if not pj or len(pj) != len(pf):
-            raise ValueError("per-frame score lists must be non-empty and equally long")
-        j_mean = float(np.mean(pj))
-        f_mean = float(np.mean(pf))
-        return cls(j_mean=j_mean, f_mean=f_mean, jf_mean=(j_mean + f_mean) / 2.0,
-                   per_frame_j=pj, per_frame_f=pf)
+        return cls(per_frame_j, per_frame_f)
 
     @property
     def num_frames(self) -> int:
         return len(self.per_frame_j)
 
+    @property
+    def j_mean(self) -> float:
+        return float(np.mean(self.per_frame_j))
+
+    @property
+    def f_mean(self) -> float:
+        return float(np.mean(self.per_frame_f))
+
+    @property
+    def jf_mean(self) -> float:
+        return (self.j_mean + self.f_mean) / 2.0
+
+    def summary(self) -> dict[str, float]:
+        """The sequence scores J, F and J&F on the 0-100 scale."""
+        return {"J": _percent(self.j_mean), "F": _percent(self.f_mean),
+                "J&F": _percent(self.jf_mean)}
+
     def to_json_dict(self) -> dict:
         return {
-            "J": self.j_mean * 100.0,
-            "F": self.f_mean * 100.0,
-            "J&F": self.jf_mean * 100.0,
+            **self.summary(),
             "per_frame": [
-                [j * 100.0, f * 100.0]
+                [_percent(j), _percent(f)]
                 for j, f in zip(self.per_frame_j, self.per_frame_f)
             ],
         }
 
 
-def evaluate_sequence(pred, gt, tolerance_px: int | None = None) -> EvalResult:
+def evaluate_sequence(pred, gt) -> EvalResult:
     """Score a predicted sequence against ground truth frame by frame.
 
     Accepts mask sequences, refined sequences, or plain iterables of masks
     (see :class:`MaskSequence`). The boundary tolerance is derived once from
-    the frame dimensions unless given explicitly.
+    the frame dimensions.
     """
     pred = MaskSequence(frames=pred)
     gt = MaskSequence(frames=gt)
@@ -158,11 +170,10 @@ def evaluate_sequence(pred, gt, tolerance_px: int | None = None) -> EvalResult:
             f"prediction has {pred.num_frames} frames of {pred.height}x{pred.width}, "
             f"ground truth {gt.num_frames} frames of {gt.height}x{gt.width}"
         )
-    if tolerance_px is None:
-        tolerance_px = default_boundary_tolerance(pred.height, pred.width)
+    tolerance = default_boundary_tolerance(pred.height, pred.width)
     per_j = []
     per_f = []
     for p, g in zip(pred.frames, gt.frames):
         per_j.append(region_j(p, g))
-        per_f.append(boundary_f(p, g, tolerance_px=tolerance_px))
-    return EvalResult.from_per_frame(per_j, per_f)
+        per_f.append(boundary_f(p, g, tolerance))
+    return EvalResult(per_j, per_f)

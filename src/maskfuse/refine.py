@@ -17,6 +17,7 @@ Frame indices are 0-based throughout the Python API; instance ids are
 
 from __future__ import annotations
 
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -89,8 +90,9 @@ class MaskletSet:
     (or any iterable of masks, which becomes one). Ids must be the ints
     ``1..N`` and every track must cover the same frames of the same size;
     the constructor checks both and takes the dimensions from the tracks.
-    ``N = 0`` (no tracked instances) is allowed with explicit dimensions,
-    and makes the refiner fall back to the coarse input everywhere.
+    Explicit dimensions must agree with the tracks. ``N = 0`` (no tracked
+    instances) is allowed with explicit dimensions, and makes the refiner
+    fall back to the coarse input everywhere.
     """
 
     tracks: dict[int, MaskSequence]
@@ -108,17 +110,18 @@ class MaskletSet:
         tracks = {iid: seq if isinstance(seq, MaskSequence) else MaskSequence(frames=seq)
                   for iid, seq in sorted(self.tracks.items())}
         object.__setattr__(self, "tracks", tracks)
+        declared = (self.num_frames, self.height, self.width)
         if not tracks:
-            dims = (self.num_frames, self.height, self.width)
-            if not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims):
+            if not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in declared):
                 raise ValueError("an empty masklet set needs explicit num_frames, height and "
-                                 f"width of at least 1, got {dims}")
+                                 f"width of at least 1, got {declared}")
             return
         dims = (tracks[1].num_frames, tracks[1].height, tracks[1].width)
+        want = tuple(t if d is None else d for d, t in zip(declared, dims))
         for iid, seq in tracks.items():
-            if (seq.num_frames, seq.height, seq.width) != dims:
+            if (seq.num_frames, seq.height, seq.width) != want:
                 raise ValueError(f"masklet {iid} covers {seq.num_frames} frames of {seq.height}x"
-                                 f"{seq.width}, expected {dims[0]} frames of {dims[1]}x{dims[2]}")
+                                 f"{seq.width}, expected {want[0]} frames of {want[1]}x{want[2]}")
         for name, value in zip(("num_frames", "height", "width"), dims):
             object.__setattr__(self, name, value)
 
@@ -159,6 +162,13 @@ class RefineConfig:
     tie_break: str = "earliest"
 
     def __post_init__(self) -> None:
+        # numpy scalars are stored as Python numbers, so a report serialises as JSON.
+        if isinstance(self.window, bool) or not isinstance(self.window, numbers.Integral):
+            raise ValueError(f"window must be an integer, got {self.window!r}")
+        if isinstance(self.tau, bool) or not isinstance(self.tau, numbers.Real):
+            raise ValueError(f"tau must be a number, got {self.tau!r}")
+        object.__setattr__(self, "window", int(self.window))
+        object.__setattr__(self, "tau", float(self.tau))
         if self.window < 1:
             raise ValueError(f"window must be at least 1, got {self.window}")
         if not 0.0 <= self.tau < 1.0:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -450,3 +451,48 @@ def test_undecodable_json_is_one_typed_error(tmp_path, capsys, payload, command,
     assert main(argv) == 1
     assert one_line_error(capsys)["type"] == error
     assert not out_dir.exists()
+
+
+# --- golden outputs ---------------------------------------------------------------
+
+# sha256 of every file the CLI writes for fig2 and of the score tables it
+# prints. Any change to these bytes is a change of behaviour, not a refactor.
+FIG2_GOLDEN = {
+    "ablate stdout": "5cc2e5f1c1187035156950ce67c6d6606135e290457ad0977b9e9bf2359fcfe7",
+    "ablate.json": "4806db8a14020b5064e5c146f462bbe19986fd9efee401472b1b429bc8d8d533",
+    "coarse.json": "d39ac577341c2659c68bb1f2733336f7c8700eda6269c1a8b15a7828d6c078f7",
+    "corruption.json": "b54edaef339ea1891b744fe07e9b046146c57fb2a3601511d58385822812c408",
+    "eval stdout": "290b2d03abb9f1696daf0fe18771d71df364b3903ceba9758cf13e7b792df418",
+    "eval.json": "880ce4a145a00c9054eff043045abe0cc5813142bea105deee562f1ec7d3e825",
+    "gt.json": "0df949491f178ea1e28fcffafe7997f17f166d2a78afd5b21bab0e936e02d148",
+    "masklets.json": "172f3862e75ec3d9246ac11a9fa8cd02506182bb3b38ce4b1d807cdfb9b9fbab",
+    "refined.json": "f40b34b06815fe9648389d24218611007d51cd3b4c8edbdd891080de995b7f11",
+    "report.json": "f0758b4405670d45e4133c350b624e860e3ea7d2af3d86478703a1218c1cd57b",
+}
+
+
+def test_fig2_outputs_match_golden_digests(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(scenario_to_dict(fig2_scenario())))
+    d = tmp_path / "out"
+    runs = {
+        "synth": ["synth", "--spec", str(spec), "--out-dir", str(d)],
+        "refine": ["refine", "--coarse", str(d / "coarse.json"),
+                   "--tracked", str(d / "masklets.json"), "--out", str(d / "refined.json"),
+                   "--window", "5", "--report", str(d / "report.json")],
+        "eval": ["eval", "--pred", str(d / "coarse.json"), "--gt", str(d / "gt.json"),
+                 "--json-out", str(d / "eval.json")],
+        "ablate": ["ablate", "--coarse", str(d / "coarse.json"),
+                   "--tracked", str(d / "masklets.json"), "--gt", str(d / "gt.json"),
+                   "--windows", "2,5", "--json-out", str(d / "ablate.json")],
+    }
+    digests = {}
+    for name, argv in runs.items():
+        assert main(argv) == 0, capsys.readouterr().err
+        out = capsys.readouterr().out
+        if name in ("eval", "ablate"):  # the others print paths
+            digests[f"{name} stdout"] = out.encode()
+    digests.update((p.name, p.read_bytes()) for p in d.iterdir())
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in digests.items()}
+    for name in sorted(digests.keys() | FIG2_GOLDEN.keys()):
+        assert digests.get(name) == FIG2_GOLDEN.get(name), f"{name} differs from the golden output"

@@ -184,12 +184,14 @@ def test_masklet_errors_name_the_instance(tmp_path):
 
 
 def test_masklet_keys_must_be_decimal(tmp_path):
-    payload = {
-        "video_id": "v", "kind": "masklets", "height": 2, "width": 2,
-        "num_frames": 1, "instances": {"one": [rle_obj(np.zeros((2, 2), dtype=bool))]},
-    }
-    with pytest.raises(ManifestSchemaError):
-        load_manifest(write_json(tmp_path / "m.json", payload))
+    # "²" passes str.isdigit but not int(); "01" is not the canonical spelling of 1.
+    for key in ("one", "²", "01"):
+        payload = {
+            "video_id": "v", "kind": "masklets", "height": 2, "width": 2,
+            "num_frames": 1, "instances": {key: [rle_obj(np.zeros((2, 2), dtype=bool))]},
+        }
+        with pytest.raises(ManifestSchemaError, match="instance keys must be decimal"):
+            load_manifest(write_json(tmp_path / "m.json", payload))
 
 
 def test_empty_masklet_manifest_loads(tmp_path):
@@ -283,9 +285,12 @@ def test_duplicate_top_level_key_is_schema_error(tmp_path):
 
 def test_masklet_budget_counts_every_instance(tmp_path, monkeypatch):
     decoded = []
-    monkeypatch.setattr(maskfuse.manifest, "rle_decode",
-                        lambda rle: decoded.append(rle) or np.zeros((1, 1), dtype=bool))
     side = 2**13  # 40 frames of 8192x8192 fit the budget once, not twice
+    # One shared, never-written frame: its pages are never touched, so the
+    # stub decodes the declared size without making it resident.
+    frame = np.zeros((side, side), dtype=bool)
+    monkeypatch.setattr(maskfuse.manifest, "rle_decode",
+                        lambda rle: decoded.append(rle) or frame)
     frames = [{"h": side, "w": side, "counts": [side * side]}] * 40
     payload = {
         "video_id": "v", "kind": "masklets", "height": side, "width": side,

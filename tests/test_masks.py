@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,6 +254,12 @@ def test_rle_accepts_numpy_integer_counts(counts):
     rle = RleMask(height=2, width=2, counts=counts)
     assert rle.counts == tuple(int(c) for c in counts)
     assert rle_decode(rle).sum() == (4 - counts[0])
+
+
+def test_rle_numpy_counts_serialise_as_json():
+    rle = RleMask(height=2, width=2, counts=(np.int64(1), np.int64(3)))
+    assert json.dumps(rle.to_json_dict()) == '{"h": 2, "w": 2, "counts": [1, 3]}'
+    assert all(type(c) is int for c in rle.counts)
 
 
 def test_rle_leading_zero_is_allowed_only_first():

@@ -186,9 +186,12 @@ def test_eval_result_from_per_frame():
 
 
 def test_eval_result_rejects_inconsistent_mean():
-    with pytest.raises(ValueError):
+    # The means are not fields: they derive from the per-frame scores.
+    with pytest.raises(TypeError):
         EvalResult(j_mean=1.0, f_mean=0.0, jf_mean=0.7,
                    per_frame_j=(1.0,), per_frame_f=(0.0,))
+    r = EvalResult(per_frame_j=(1.0,), per_frame_f=(0.0,))
+    assert (r.j_mean, r.f_mean, r.jf_mean) == (1.0, 0.0, 0.5)
     with pytest.raises(ValueError):
         EvalResult.from_per_frame([], [])
     with pytest.raises(ValueError):

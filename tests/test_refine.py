@@ -76,6 +76,15 @@ def test_masklet_set_accepts_plain_frame_lists():
         MaskletSet.from_tracks([a, [mask_from_rows("#.")]])
 
 
+@pytest.mark.parametrize("dims", [{"num_frames": 7}, {"height": 3}, {"width": 1},
+                                  {"num_frames": 1, "height": 2, "width": 5}])
+def test_masklet_set_rejects_dims_that_disagree_with_tracks(dims):
+    with pytest.raises(ValueError, match="covers 1 frames of 2x2"):
+        MaskletSet.from_tracks([seq_of(empty_mask(2, 2))], **dims)
+    ms = MaskletSet.from_tracks([seq_of(empty_mask(2, 2))], num_frames=1, height=2, width=2)
+    assert (ms.num_frames, ms.height, ms.width) == (1, 2, 2)
+
+
 def test_empty_masklet_set_needs_explicit_dims():
     with pytest.raises(ValueError):
         MaskletSet.from_tracks({})
@@ -87,6 +96,12 @@ def test_empty_masklet_set_needs_explicit_dims():
 def test_refine_config_validation():
     with pytest.raises(ValueError):
         RefineConfig(window=0)
+    for bad in (True, 2.5, "5"):
+        with pytest.raises(ValueError, match="window"):
+            RefineConfig(window=bad)
+    for bad in (False, "0.5", None):
+        with pytest.raises(ValueError, match="tau"):
+            RefineConfig(tau=bad)
     with pytest.raises(ValueError):
         RefineConfig(tau=1.0)
     with pytest.raises(ValueError):
@@ -95,6 +110,16 @@ def test_refine_config_validation():
         RefineConfig(tie_break="random")
     cfg = RefineConfig()
     assert (cfg.window, cfg.tau, cfg.tie_break) == (15, 0.8, "earliest")
+
+
+def test_refine_config_stores_numpy_scalars_as_python_numbers():
+    cfg = RefineConfig(window=np.arange(5, 6)[0], tau=np.float32(0.5))
+    assert (type(cfg.window), type(cfg.tau)) == (int, float)
+    assert (cfg.window, cfg.tau) == (5, 0.5)
+    with pytest.raises(ValueError, match="window"):
+        RefineConfig(window=np.float64(5.0))
+    with pytest.raises(ValueError, match="tau"):
+        RefineConfig(tau=np.bool_(False))
 
 
 # --- gating ------------------------------------------------------------------
