@@ -52,7 +52,7 @@ from .metrics import (
     mask_boundary,
     region_j,
 )
-from .overlay import export_overlay, read_pgm, write_pgm
+from .overlay import export_overlay, write_pgm
 from .refine import (
     DEFAULT_TAU,
     DEFAULT_WINDOW,
@@ -131,7 +131,6 @@ __all__ = [
     "mask_boundary",
     "masklet_manifest",
     "overlap_fraction",
-    "read_pgm",
     "refine_video",
     "refine_window",
     "region_j",

@@ -256,7 +256,11 @@ def load_manifest(path) -> VideoManifest:
     if not isinstance(instances, dict):
         raise ManifestSchemaError(f"{path}: 'instances' must be an object")
     for key in instances:
-        if not (key.isdecimal() and str(int(key)) == key):
+        try:
+            canonical = key.isdecimal() and str(int(key)) == key
+        except ValueError:  # more digits than int() converts
+            canonical = False
+        if not canonical:
             raise ManifestSchemaError(f"{path}: instance keys must be decimal strings, got {key!r}")
     _require_budget(path, num_frames, height, width, len(instances))
     tracks = {iid: _frames_from_json(instances[str(iid)], iid, num_frames, height, width, path)

@@ -118,6 +118,9 @@ class EvalResult:
         pf = tuple(float(v) for v in self.per_frame_f)
         if not pj or len(pj) != len(pf):
             raise ValueError("per-frame score lists must be non-empty and equally long")
+        for v in pj + pf:
+            if not 0.0 <= v <= 1.0:  # NaN fails too
+                raise ValueError(f"per-frame scores must lie in [0, 1], got {v}")
         object.__setattr__(self, "per_frame_j", pj)
         object.__setattr__(self, "per_frame_f", pf)
 

@@ -26,42 +26,6 @@ def write_pgm(path, mask: Mask) -> None:
         handle.write(raster.tobytes())
 
 
-def read_pgm(path) -> Mask:
-    """Read a PGM written by :func:`write_pgm` back as a bool mask.
-
-    Any nonzero pixel counts as foreground. Only the binary (P5) variant
-    with maxval 255 is supported.
-    """
-    with open(path, "rb") as handle:
-        payload = handle.read()
-    fields: list[bytes] = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(payload) and payload[pos : pos + 1].isspace():
-            pos += 1
-        if payload[pos : pos + 1] == b"#":  # comment runs to end of line
-            while pos < len(payload) and payload[pos : pos + 1] not in (b"\n", b""):
-                pos += 1
-            continue
-        start = pos
-        while pos < len(payload) and not payload[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ValueError(f"{path}: truncated PGM header")
-        fields.append(payload[start:pos])
-    pos += 1  # single whitespace byte separates the header from the raster
-    magic, width_s, height_s, maxval_s = fields
-    if magic != b"P5":
-        raise ValueError(f"{path}: not a binary PGM (magic {magic!r})")
-    width, height, maxval = int(width_s), int(height_s), int(maxval_s)
-    if maxval != 255:
-        raise ValueError(f"{path}: unsupported maxval {maxval}, expected 255")
-    raster = payload[pos : pos + width * height]
-    if len(raster) != width * height:
-        raise ValueError(f"{path}: raster has {len(raster)} bytes, expected {width * height}")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width) != 0
-
-
 def export_overlay(sequence, out_dir) -> list[str]:
     """Write every frame of a sequence as a PGM under ``out_dir``.
 

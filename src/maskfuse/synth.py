@@ -11,9 +11,9 @@ target object, and renders three aligned artifacts:
 
 Rendering is deterministic: the same scenario always produces bit-identical
 outputs. Corruption draws come from ``numpy.random.default_rng(seed)``
-(PCG64): one uniform per (frame, target instance) pair in ascending frame
-then instance order for dropouts, followed by one uniform per (frame,
-non-target instance) pair in the same order for spurious additions. Draws
+(PCG64): a (frames, target instances) array of uniforms, filled in
+row-major (frame, then instance) order, for dropouts, followed by a
+(frames, non-target instances) array for spurious additions. Draws
 happen even when the corresponding probability is zero, so adding forced
 events never shifts the stream.
 
@@ -22,7 +22,7 @@ Frame indices are 0-based in this API; exported JSON uses 1-based frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -175,17 +175,14 @@ class Scenario:
             raise ScenarioError("target must name at least one instance")
         if not isinstance(self.corruption, CorruptionSpec):
             raise ScenarioError(f"corruption is not a CorruptionSpec: {self.corruption!r}")
-        non_target = set(range(1, n + 1)) - set(target)
-        for frame, iid in self.corruption.forced_drops:
-            if not 0 <= frame < self.frames:
-                raise ScenarioError(f"forced drop frame {frame} outside 0..{self.frames - 1}")
-            if iid not in target:
-                raise ScenarioError(f"forced drop instance {iid} is not a target instance")
-        for frame, iid in self.corruption.forced_adds:
-            if not 0 <= frame < self.frames:
-                raise ScenarioError(f"forced add frame {frame} outside 0..{self.frames - 1}")
-            if iid not in non_target:
-                raise ScenarioError(f"forced add instance {iid} is not a non-target instance")
+        for verb, forced, allowed, role in (
+                ("drop", self.corruption.forced_drops, target, "a target"),
+                ("add", self.corruption.forced_adds, self.non_target, "a non-target")):
+            for frame, iid in forced:
+                if not 0 <= frame < self.frames:
+                    raise ScenarioError(f"forced {verb} frame {frame} outside 0..{self.frames - 1}")
+                if iid not in allowed:
+                    raise ScenarioError(f"forced {verb} instance {iid} is not {role} instance")
         if not _is_int(self.seed) or self.seed < 0:
             raise ScenarioError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not isinstance(self.video_id, str):
@@ -270,16 +267,11 @@ def generate(scenario: Scenario) -> SynthResult:
 
     spec = scenario.corruption
     rng = np.random.default_rng(scenario.seed)
-    drops = set(spec.forced_drops)
-    for t in range(T):
-        for iid in scenario.target:
-            if rng.random() < spec.flicker_drop_prob:
-                drops.add((t, iid))
-    adds = set(spec.forced_adds)
-    for t in range(T):
-        for iid in scenario.non_target:
-            if rng.random() < spec.spurious_add_prob:
-                adds.add((t, iid))
+    drops, adds = set(spec.forced_drops), set(spec.forced_adds)
+    for events, ids, prob in ((drops, scenario.target, spec.flicker_drop_prob),
+                              (adds, scenario.non_target, spec.spurious_add_prob)):
+        hits = np.argwhere(rng.random((T, len(ids))) < prob).tolist()
+        events.update((t, ids[k]) for t, k in hits)
 
     coarse_frames = []
     for t in range(T):
@@ -352,36 +344,17 @@ def corruption_report(result: SynthResult, window: int) -> dict:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    """JSON form of a scenario (forced-event frames become 1-based)."""
-    instances = []
-    for track in scenario.instances:
-        entry = {
-            "kind": track.kind,
-            "start": list(track.start),
-            "velocity": list(track.velocity),
-        }
-        if track.kind == "rect":
-            entry["size"] = list(track.size)
-        else:
-            entry["radius"] = track.radius
-        instances.append(entry)
-    spec = scenario.corruption
-    return {
-        "video_id": scenario.video_id,
-        "frames": scenario.frames,
-        "height": scenario.height,
-        "width": scenario.width,
-        "seed": scenario.seed,
-        "instances": instances,
-        "target": list(scenario.target),
-        "corruption": {
-            "flicker_drop_prob": spec.flicker_drop_prob,
-            "spurious_add_prob": spec.spurious_add_prob,
-            "boundary_erosion_px": spec.boundary_erosion_px,
-            "forced_drops": [{"frame": t + 1, "instance": i} for t, i in spec.forced_drops],
-            "forced_adds": [{"frame": t + 1, "instance": i} for t, i in spec.forced_adds],
-        },
-    }
+    """JSON form of a scenario: :func:`dataclasses.asdict`, except that a shape's
+    unused ``None`` field is left out and forced events become 1-based
+    ``{"frame", "instance"}`` objects. ``instances`` is a list; other tuples stay tuples.
+    """
+    obj = asdict(scenario)
+    obj["instances"] = [{key: value for key, value in track.items() if value is not None}
+                        for track in obj["instances"]]
+    spec = obj["corruption"]
+    for name in ("forced_drops", "forced_adds"):
+        spec[name] = [{"frame": t + 1, "instance": i} for t, i in spec[name]]
+    return obj
 
 
 def _events_from_json(obj, name: str) -> tuple[tuple[int, int], ...]:

@@ -184,8 +184,9 @@ def test_masklet_errors_name_the_instance(tmp_path):
 
 
 def test_masklet_keys_must_be_decimal(tmp_path):
-    # "²" passes str.isdigit but not int(); "01" is not the canonical spelling of 1.
-    for key in ("one", "²", "01"):
+    # "²" passes str.isdigit but not int(); "01" is not the canonical spelling of 1;
+    # 5000 digits pass str.isdecimal but exceed what int() converts.
+    for key in ("one", "²", "01", "1" * 5000):
         payload = {
             "video_id": "v", "kind": "masklets", "height": 2, "width": 2,
             "num_frames": 1, "instances": {key: [rle_obj(np.zeros((2, 2), dtype=bool))]},

@@ -198,6 +198,15 @@ def test_eval_result_rejects_inconsistent_mean():
         EvalResult.from_per_frame([1.0], [1.0, 0.5])
 
 
+def test_eval_result_rejects_scores_outside_unit_interval():
+    # A NaN would otherwise reach to_json_dict and write "F": NaN, which is not JSON.
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        EvalResult([2.0, -1.0], [float("nan"), 0.5])
+    for bad in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            EvalResult([0.5], [bad])
+
+
 @given(st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=12),
        st.data())
 @settings(max_examples=100, deadline=None)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -128,6 +129,24 @@ def test_forced_events_do_not_shift_sampled_ones():
     assert (1, 2) in generate(forced).adds
 
 
+def test_corruption_draws_follow_the_documented_order():
+    """One uniform per (frame, target) in row-major order for drops, then one
+    per (frame, non-target) for adds, all from default_rng(seed)."""
+    scenario = simple_scenario(
+        instances=tuple(ShapeTrack(kind="rect", size=(2, 2), start=(3 * i, 0)) for i in range(5)),
+        target=(1, 3, 5),
+        corruption=CorruptionSpec(flicker_drop_prob=0.3, spurious_add_prob=0.4),
+    )
+    rng = np.random.default_rng(scenario.seed)
+    drops = [(t, i) for t in range(scenario.frames) for i in (1, 3, 5) if rng.random() < 0.3]
+    adds = [(t, i) for t in range(scenario.frames) for i in (2, 4) if rng.random() < 0.4]
+    result = generate(scenario)
+    assert drops and adds
+    assert (result.drops, result.adds) == (tuple(drops), tuple(adds))
+    # Plain ints, so the corruption report serialises.
+    assert all(type(v) is int for event in result.drops + result.adds for v in event)
+
+
 def test_forced_drop_removes_target_at_exact_frame():
     scenario = simple_scenario(corruption=CorruptionSpec(forced_drops=((3, 1),)))
     result = generate(scenario)
@@ -194,12 +213,15 @@ def test_corruption_spec_rejects_bad_values():
 
 
 def test_scenario_rejects_misdirected_forced_events():
-    with pytest.raises(ScenarioError):
-        simple_scenario(corruption=CorruptionSpec(forced_drops=((0, 2),)))  # 2 not a target
-    with pytest.raises(ScenarioError):
-        simple_scenario(corruption=CorruptionSpec(forced_adds=((0, 1),)))  # 1 is a target
-    with pytest.raises(ScenarioError):
-        simple_scenario(corruption=CorruptionSpec(forced_drops=((6, 1),)))  # frame out of range
+    with pytest.raises(ScenarioError, match="^forced drop instance 2 is not a target instance$"):
+        simple_scenario(corruption=CorruptionSpec(forced_drops=((0, 2),)))
+    with pytest.raises(ScenarioError,
+                       match="^forced add instance 1 is not a non-target instance$"):
+        simple_scenario(corruption=CorruptionSpec(forced_adds=((0, 1),)))
+    with pytest.raises(ScenarioError, match=r"^forced drop frame 6 outside 0\.\.5$"):
+        simple_scenario(corruption=CorruptionSpec(forced_drops=((6, 1),)))
+    with pytest.raises(ScenarioError, match=r"^forced add frame 6 outside 0\.\.5$"):
+        simple_scenario(corruption=CorruptionSpec(forced_adds=((6, 2),)))
 
 
 # --- fig2 --------------------------------------------------------------------
@@ -228,8 +250,10 @@ def test_scenario_json_roundtrip():
     scenario = simple_scenario(corruption=CorruptionSpec(
         flicker_drop_prob=0.25, spurious_add_prob=0.1, boundary_erosion_px=1,
         forced_drops=((3, 1),), forced_adds=((0, 2),)))
-    again = scenario_from_dict(scenario_to_dict(scenario))
-    assert again == scenario
+    obj = scenario_to_dict(scenario)
+    assert scenario_from_dict(obj) == scenario
+    # Through the text form too, where tuples come back as lists.
+    assert scenario_from_dict(json.loads(json.dumps(obj))) == scenario
 
 
 def test_scenario_json_uses_one_based_frames():
