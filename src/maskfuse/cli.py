@@ -24,6 +24,7 @@ from .errors import MaskFuseError, ScenarioError
 from .manifest import (
     load_manifest,
     masklet_manifest,
+    read_json,
     save_manifest,
     sequence_manifest,
     write_json_atomic,
@@ -32,6 +33,9 @@ from .metrics import evaluate_sequence
 from .overlay import export_overlay
 from .refine import DEFAULT_TAU, DEFAULT_WINDOW, RefineConfig, refine_video
 from .synth import corruption_report, generate, scenario_from_dict
+
+# Longest error message ``main`` prints whole: messages quote input values of any size.
+MAX_ERROR_CHARS = 1000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,12 +111,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    try:
-        with open(args.spec) as handle:
-            spec_obj = json.load(handle)
-    except (ValueError, RecursionError) as exc:
-        raise ScenarioError(f"{args.spec} is not valid JSON: {exc}") from exc
-    scenario = scenario_from_dict(spec_obj)
+    scenario = scenario_from_dict(read_json(args.spec, ScenarioError, ScenarioError))
     result = generate(scenario)
     os.makedirs(args.out_dir, exist_ok=True)
     outputs = {
@@ -136,24 +135,21 @@ def _parse_windows(text: str) -> list[int]:
         raise ValueError(f"--windows must be comma-separated integers, got {text!r}") from None
     if not windows:
         raise ValueError("--windows must name at least one window size")
-    for w in windows:
-        if w < 1:
-            raise ValueError(f"window sizes must be at least 1, got {w}")
     return windows
 
 
 def _cmd_ablate(args) -> int:
-    windows = _parse_windows(args.windows)
+    configs = [RefineConfig(window=w) for w in _parse_windows(args.windows)]
     coarse = load_manifest(args.coarse).require_sequence(args.coarse)
     tracked = load_manifest(args.tracked).require_masklets(args.tracked)
     gt = load_manifest(args.gt).require_sequence(args.gt)
 
     baseline = evaluate_sequence(coarse, gt)
     rows = [{"method": "baseline", "window": None, **baseline.summary()}]
-    for w in windows:
-        refined = refine_video(coarse, tracked, RefineConfig(window=w))
+    for cfg in configs:
+        refined = refine_video(coarse, tracked, cfg)
         scores = evaluate_sequence(refined, gt).summary()
-        rows.append({"method": "refined", "window": w, **scores})
+        rows.append({"method": "refined", "window": cfg.window, **scores})
 
     header = ("method", "window", "J", "F", "J&F")
     cells = [header]
@@ -195,7 +191,11 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (MaskFuseError, ValueError, OSError) as exc:
-        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
+        message = str(exc)
+        if len(message) > MAX_ERROR_CHARS:
+            cut = len(message) - MAX_ERROR_CHARS
+            message = f"{message[:MAX_ERROR_CHARS]}... [{cut} more characters cut]"
+        print(json.dumps({"error": {"type": type(exc).__name__, "message": message}}),
               file=sys.stderr)
         return 1
 

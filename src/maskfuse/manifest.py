@@ -38,7 +38,7 @@ from .errors import (
     ManifestSchemaError,
     RleFormatError,
 )
-from .masks import MAX_MASK_PIXELS, Mask, RleMask, rle_decode, rle_encode
+from .masks import MAX_MASK_PIXELS, Mask, RleMask, is_int, rle_decode, rle_encode
 from .refine import MaskletSet, MaskSequence
 
 KINDS = ("coarse", "masklets", "refined", "gt")
@@ -162,19 +162,31 @@ def _require_key(obj: dict, key: str, path) -> object:
     return obj[key]
 
 
-def _require_int(obj: dict, key: str, path) -> int:
+def _require_positive_int(obj: dict, key: str, path) -> int:
     value = _require_key(obj, key, path)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ManifestSchemaError(f"{path}: {key!r} must be an integer, got {value!r}")
+    if not is_int(value) or value < 1:
+        raise ManifestSchemaError(f"{path}: {key!r} must be a positive integer, got {value!r}")
     return value
 
 
-def _object_without_duplicates(pairs: list, path) -> dict:
-    obj = dict(pairs)
-    if len(obj) != len(pairs):
-        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
-        raise ManifestSchemaError(f"{path}: duplicate key {key!r} in a JSON object")
-    return obj
+def read_json(path, error: type[Exception], duplicate_error: type[Exception]):
+    """The JSON value in the file at ``path``. A file that cannot be read or
+    decoded (not UTF-8, nested too deeply, an integer too long) raises ``error``,
+    and an object that repeats a key ``duplicate_error``; both name ``path``."""
+    def object_without_duplicates(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+            raise duplicate_error(f"{path}: duplicate key {key!r} in a JSON object")
+        return obj
+
+    try:
+        with open(path) as handle:
+            return json.load(handle, object_pairs_hook=object_without_duplicates)
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _require_budget(path, num_frames: int, height: int, width: int, sequences: int) -> None:
@@ -221,15 +233,7 @@ def load_manifest(path) -> VideoManifest:
     violates an invariant (naming the offending frame or instance) or
     would decode to more than ``MAX_MASK_PIXELS`` pixels.
     """
-    try:
-        with open(path) as handle:
-            obj = json.load(
-                handle, object_pairs_hook=lambda pairs: _object_without_duplicates(pairs, path))
-    except OSError as exc:
-        raise ManifestParseError(f"cannot read {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        raise ManifestParseError(f"{path} is not valid JSON: {exc}") from exc
-
+    obj = read_json(path, ManifestParseError, ManifestSchemaError)
     if not isinstance(obj, dict):
         raise ManifestSchemaError(f"{path}: top level must be a JSON object")
     video_id = _require_key(obj, "video_id", path)
@@ -238,13 +242,9 @@ def load_manifest(path) -> VideoManifest:
     kind = _require_key(obj, "kind", path)
     if kind not in KINDS:
         raise ManifestSchemaError(f"{path}: 'kind' must be one of {KINDS}, got {kind!r}")
-    height = _require_int(obj, "height", path)
-    width = _require_int(obj, "width", path)
-    num_frames = _require_int(obj, "num_frames", path)
-    if height < 1 or width < 1:
-        raise ManifestSchemaError(f"{path}: dimensions must be at least 1x1, got {height}x{width}")
-    if num_frames < 1:
-        raise ManifestSchemaError(f"{path}: 'num_frames' must be at least 1, got {num_frames}")
+    height = _require_positive_int(obj, "height", path)
+    width = _require_positive_int(obj, "width", path)
+    num_frames = _require_positive_int(obj, "num_frames", path)
 
     if kind != "masklets":
         entries = _require_key(obj, "frames", path)

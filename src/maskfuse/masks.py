@@ -29,6 +29,11 @@ Mask = np.ndarray
 MAX_MASK_PIXELS = 2**32
 
 
+def is_int(value) -> bool:
+    """True for an ``int`` that is not a ``bool``: the integer fields of parsed JSON."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def make_mask(pixels) -> Mask:
     """Coerce ``pixels`` to a 2-D contiguous bool array, validating the shape."""
     arr = np.asarray(pixels)
@@ -140,7 +145,7 @@ class RleMask:
     def __post_init__(self) -> None:
         for name in ("height", "width"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not is_int(value):
                 raise RleFormatError(f"RLE {name} must be an integer, got {value!r}")
         if self.height < 1 or self.width < 1:
             raise RleFormatError(

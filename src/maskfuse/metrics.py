@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError
 from .masks import Mask, erode, iou, make_mask, require_same_shape
-from .refine import MaskSequence
+from .refine import MaskSequence, require_aligned
 
 region_j = iou
 
@@ -168,11 +167,7 @@ def evaluate_sequence(pred, gt) -> EvalResult:
     """
     pred = MaskSequence(frames=pred)
     gt = MaskSequence(frames=gt)
-    if (pred.num_frames, pred.height, pred.width) != (gt.num_frames, gt.height, gt.width):
-        raise AlignmentError(
-            f"prediction has {pred.num_frames} frames of {pred.height}x{pred.width}, "
-            f"ground truth {gt.num_frames} frames of {gt.height}x{gt.width}"
-        )
+    require_aligned(pred, gt, "prediction", "ground truth")
     tolerance = default_boundary_tolerance(pred.height, pred.width)
     per_j = []
     per_f = []

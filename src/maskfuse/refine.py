@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import numbers
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import AlignmentError
-from .masks import Mask, area, intersection_area, make_mask, union
+from .masks import Mask, area, intersection_area, is_int, make_mask, union
 
 # Supported policies for breaking ties between equally frequent combinations.
 TIE_BREAK_POLICIES = ("earliest", "smallest")
@@ -104,15 +104,14 @@ class MaskletSet:
         if not isinstance(self.tracks, dict):
             raise ValueError(f"tracks must be a dict, got {type(self.tracks).__name__}")
         ids = list(self.tracks)
-        if (any(isinstance(i, bool) or not isinstance(i, int) for i in ids)
-                or sorted(ids) != list(range(1, len(ids) + 1))):
+        if not all(map(is_int, ids)) or sorted(ids) != list(range(1, len(ids) + 1)):
             raise ValueError(f"instance ids must be contiguous integers starting at 1, got {ids}")
         tracks = {iid: seq if isinstance(seq, MaskSequence) else MaskSequence(frames=seq)
                   for iid, seq in sorted(self.tracks.items())}
         object.__setattr__(self, "tracks", tracks)
         declared = (self.num_frames, self.height, self.width)
         if not tracks:
-            if not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in declared):
+            if not all(is_int(d) and d >= 1 for d in declared):
                 raise ValueError("an empty masklet set needs explicit num_frames, height and "
                                  f"width of at least 1, got {declared}")
             return
@@ -144,6 +143,24 @@ class MaskletSet:
 
     def frame(self, instance_id: int, frame_index: int) -> Mask:
         return self.tracks[instance_id].frames[frame_index]
+
+
+def require_aligned(a, b, a_name: str, b_name: str) -> None:
+    """Raise :class:`AlignmentError` unless ``a`` and ``b`` (mask sequences or
+    masklet sets) cover the same number of frames of the same size."""
+    if (a.num_frames, a.height, a.width) != (b.num_frames, b.height, b.width):
+        raise AlignmentError(
+            f"{a_name} has {a.num_frames} frames of {a.height}x{a.width}, "
+            f"{b_name} {b.num_frames} frames of {b.height}x{b.width}"
+        )
+
+
+def window_spans(num_frames: int, window: int) -> list[tuple[int, int]]:
+    """Half-open (start, stop) spans of consecutive ``window``-frame voting
+    windows over ``num_frames`` frames; the last one may be shorter."""
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
+    return [(s, min(s + window, num_frames)) for s in range(0, num_frames, window)]
 
 
 @dataclass(frozen=True)
@@ -200,13 +217,11 @@ class WindowRecord:
 
 @dataclass(frozen=True)
 class RefineReport:
-    """Full trace of a refinement run, suitable for JSON export."""
+    """Full trace of a refinement run and the config it ran with, suitable for JSON export."""
 
     num_frames: int
     num_instances: int
-    window: int
-    tau: float
-    tie_break: str
+    config: RefineConfig
     windows: tuple[WindowRecord, ...] = field(default_factory=tuple)
 
     def to_json_dict(self) -> dict:
@@ -214,9 +229,7 @@ class RefineReport:
         return {
             "num_frames": self.num_frames,
             "num_instances": self.num_instances,
-            "window": self.window,
-            "tau": self.tau,
-            "tie_break": self.tie_break,
+            **asdict(self.config),
             "windows": [
                 {
                     "first_frame": w.start + 1,
@@ -339,32 +352,21 @@ def refine_video(coarse: MaskSequence, tracked: MaskletSet,
     """
     if cfg is None:
         cfg = RefineConfig()
-    if tracked.num_frames != coarse.num_frames:
-        raise AlignmentError(
-            f"coarse sequence has {coarse.num_frames} frames but masklets "
-            f"cover {tracked.num_frames}"
-        )
-    if (tracked.height, tracked.width) != (coarse.height, coarse.width):
-        raise AlignmentError(
-            f"coarse frames are {coarse.height}x{coarse.width} but masklets "
-            f"are {tracked.height}x{tracked.width}"
-        )
+    require_aligned(coarse, tracked, "coarse sequence", "masklets")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
 
     frames: list[Mask] = []
     window_records = []
-    for s in range(0, coarse.num_frames, cfg.window):
-        out_frames, record = refine_window(coarse.frames[s:s + cfg.window], tracked.tracks,
-                                           cfg, start=s)
+    for start, stop in window_spans(coarse.num_frames, cfg.window):
+        out_frames, record = refine_window(coarse.frames[start:stop], tracked.tracks,
+                                           cfg, start=start)
         frames.extend(out_frames)
         window_records.append(record)
     report = RefineReport(
         num_frames=coarse.num_frames,
         num_instances=tracked.num_instances,
-        window=cfg.window,
-        tau=cfg.tau,
-        tie_break=cfg.tie_break,
+        config=cfg,
         windows=tuple(window_records),
     )
     return RefinedSequence(frames=tuple(frames), report=report)

@@ -27,19 +27,15 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ScenarioError
-from .masks import MAX_MASK_PIXELS, Mask, empty_mask, erode, union
-from .refine import MaskletSet, MaskSequence
+from .masks import MAX_MASK_PIXELS, Mask, empty_mask, erode, is_int, union
+from .refine import MaskletSet, MaskSequence, window_spans
 
 SHAPE_KINDS = ("rect", "disk")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _int_pair(value, what: str) -> tuple[int, int]:
     """``value`` (a tuple or list of two ints) as a tuple, else a ScenarioError."""
-    if not isinstance(value, (tuple, list)) or len(value) != 2 or not all(map(_is_int, value)):
+    if not isinstance(value, (tuple, list)) or len(value) != 2 or not all(map(is_int, value)):
         raise ScenarioError(f"{what} must be an integer pair, got {value!r}")
     return tuple(value)
 
@@ -76,7 +72,7 @@ class ShapeTrack:
         else:
             if self.size is not None:
                 raise ScenarioError(f"a disk takes 'radius', not 'size' (got {self.size!r})")
-            if not _is_int(self.radius) or self.radius < 0:
+            if not is_int(self.radius) or self.radius < 0:
                 raise ScenarioError(
                     f"disk radius must be a non-negative integer, got {self.radius!r}")
 
@@ -111,7 +107,7 @@ class CorruptionSpec:
             if not isinstance(p, (int, float)) or isinstance(p, bool) or not 0.0 <= p <= 1.0:
                 raise ScenarioError(f"{name} must be a probability in [0, 1], got {p!r}")
         k = self.boundary_erosion_px
-        if not _is_int(k) or k < 0:
+        if not is_int(k) or k < 0:
             raise ScenarioError(f"boundary_erosion_px must be a non-negative integer, got {k!r}")
         for name in ("forced_drops", "forced_adds"):
             events = {_int_pair(entry, f"{name} entry (0-based frame, instance)")
@@ -134,14 +130,9 @@ class Scenario:
 
     def __post_init__(self) -> None:
         for name in ("frames", "height", "width"):
-            if not _is_int(getattr(self, name)):
-                raise ScenarioError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.frames < 1:
-            raise ScenarioError(f"frames must be at least 1, got {self.frames}")
-        if self.height < 1 or self.width < 1:
-            raise ScenarioError(
-                f"dimensions must be at least 1x1, got {self.height}x{self.width}"
-            )
+            value = getattr(self, name)
+            if not is_int(value) or value < 1:
+                raise ScenarioError(f"{name} must be a positive integer, got {value!r}")
         if not isinstance(self.instances, (tuple, list)):
             raise ScenarioError(f"instances must be a list of ShapeTrack, got {self.instances!r}")
         instances = tuple(self.instances)
@@ -167,7 +158,7 @@ class Scenario:
         if not isinstance(self.target, (tuple, list)):
             raise ScenarioError(f"target must be a list of instance ids, got {self.target!r}")
         for iid in self.target:
-            if not (_is_int(iid) and 1 <= iid <= n):
+            if not (is_int(iid) and 1 <= iid <= n):
                 raise ScenarioError(f"target id {iid!r} is not an instance id in 1..{n}")
         target = tuple(sorted(set(self.target)))
         object.__setattr__(self, "target", target)
@@ -183,7 +174,7 @@ class Scenario:
                     raise ScenarioError(f"forced {verb} frame {frame} outside 0..{self.frames - 1}")
                 if iid not in allowed:
                     raise ScenarioError(f"forced {verb} instance {iid} is not {role} instance")
-        if not _is_int(self.seed) or self.seed < 0:
+        if not is_int(self.seed) or self.seed < 0:
             raise ScenarioError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not isinstance(self.video_id, str):
             raise ScenarioError(f"video_id must be a string, got {self.video_id!r}")
@@ -237,15 +228,9 @@ class SynthResult:
 
     def window_corruption(self, window: int) -> tuple[tuple[int, int, int], ...]:
         """Per-window corruption as (start, stop, corrupted-count) triples."""
-        if window < 1:
-            raise ValueError(f"window must be at least 1, got {window}")
-        T = self.gt.num_frames
         corrupted = set(self.corrupted_frames)
-        out = []
-        for s in range(0, T, window):
-            e = min(s + window, T)
-            out.append((s, e, sum(1 for t in range(s, e) if t in corrupted)))
-        return tuple(out)
+        return tuple((s, e, sum(1 for t in range(s, e) if t in corrupted))
+                     for s, e in window_spans(self.gt.num_frames, window))
 
     def minority_everywhere(self, window: int) -> bool:
         """True when corruption hits a strict minority of frames in every window."""
@@ -369,7 +354,7 @@ def _events_from_json(obj, name: str) -> tuple[tuple[int, int], ...]:
                 f"got {entry!r}"
             )
         frame = entry["frame"]
-        if not _is_int(frame) or frame < 1:
+        if not is_int(frame) or frame < 1:
             raise ScenarioError(f"corruption.{name} frames are 1-based integers, got {frame!r}")
         events.append((frame - 1, entry["instance"]))
     return tuple(events)
@@ -399,9 +384,7 @@ def scenario_from_dict(obj) -> Scenario:
     if not isinstance(obj, dict):
         raise ScenarioError(f"scenario must be a JSON object, got {type(obj).__name__}")
     fields = {}
-    if "instances" in obj:
-        if not isinstance(obj["instances"], list):
-            raise ScenarioError("scenario: 'instances' must be a list")
+    if isinstance(obj.get("instances"), list):  # anything else is the Scenario's to reject
         fields["instances"] = tuple(_build(ShapeTrack, entry, f"instance {idx}")
                                     for idx, entry in enumerate(obj["instances"], start=1))
     if "corruption" in obj:

@@ -9,6 +9,7 @@ import pytest
 from scipy import ndimage
 
 import maskfuse
+import maskfuse.cli
 import maskfuse.manifest
 import maskfuse.synth
 from conftest import flicker_scenario, rand_mask
@@ -421,10 +422,17 @@ RECT = {"kind": "rect", "size": [2, 2]}
     ({"frames": 2.5}, "frames"),
     ({"target": 1}, "target"),
     ({"instances": [RECT, [1]]}, "instance 2"),
+    ({"instances": [{"kind": "rect", "size": [0, 3]}]}, "size"),
+    ({"instances": [{"kind": "disk", "radius": -1}]}, "radius"),
+    ({"height": 0}, "height"),
+    ({"instances": []}, "instance"),
+    ({"instances": RECT}, "instances"),
+    ({"corruption": {"forced_drops": {"frame": 1, "instance": 1}}}, "forced_drops"),
 ], ids=["rect-size-of-one", "negative-seed", "velocty", "unknown-top-level-key",
         "unknown-instance-key", "unknown-corruption-key", "unknown-event-key",
         "rect-with-radius", "disk-with-size", "missing-kind", "fractional-frames",
-        "target-not-a-list", "instance-not-an-object"])
+        "target-not-a-list", "instance-not-an-object", "rect-size-zero", "negative-radius",
+        "zero-height", "no-instances", "instances-not-a-list", "forced-drops-not-a-list"])
 def test_malformed_spec_is_one_scenario_error_naming_the_key(tmp_path, capsys, overrides,
                                                               named):
     code, out_dir = run_synth(tmp_path, synth_spec(**overrides))
@@ -432,6 +440,22 @@ def test_malformed_spec_is_one_scenario_error_naming_the_key(tmp_path, capsys, o
     err = one_line_error(capsys)
     assert err["type"] == "ScenarioError"
     assert named in err["message"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("text, named", [
+    (json.dumps(synth_spec(frames=5))[:-1] + ', "frames": 7}', "duplicate key 'frames'"),
+    (None, "cannot read"),
+], ids=["repeated-key", "missing-file"])
+def test_unreadable_spec_is_one_scenario_error(tmp_path, capsys, text, named):
+    spec_path = tmp_path / "spec.json"
+    if text is not None:
+        spec_path.write_text(text)
+    out_dir = tmp_path / "out"
+    assert main(["synth", "--spec", str(spec_path), "--out-dir", str(out_dir)]) == 1
+    err = one_line_error(capsys)
+    assert err["type"] == "ScenarioError"
+    assert str(spec_path) in err["message"] and named in err["message"]
     assert not out_dir.exists()
 
 
@@ -451,6 +475,40 @@ def test_undecodable_json_is_one_typed_error(tmp_path, capsys, payload, command,
     assert main(argv) == 1
     assert one_line_error(capsys)["type"] == error
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("payload", [
+    {"video_id": "v", "kind": "masklets", "height": 1, "width": 1, "num_frames": 1,
+     "instances": {"1" * 5000: []}},
+    {"video_id": list(range(3000)), "kind": "gt", "height": 1, "width": 1, "num_frames": 1,
+     "frames": []},
+], ids=["5000-digit-masklet-key", "3000-element-video-id"])
+def test_long_error_message_is_cut_to_one_short_line(tmp_path, capsys, payload):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(maskfuse.ManifestSchemaError) as info:
+        load_manifest(path)
+    full = str(info.value)
+    assert main(["eval", "--pred", str(path), "--gt", str(path)]) == 1
+    err = one_line_error(capsys)
+    cap = maskfuse.cli.MAX_ERROR_CHARS
+    assert len(full) > 4 * cap
+    assert err["type"] == "ManifestSchemaError"
+    assert err["message"] == f"{full[:cap]}... [{len(full) - cap} more characters cut]"
+    assert err["message"].startswith(f"{path}: ")
+
+
+def test_failed_json_out_rename_is_one_error_and_leaves_no_temporary_file(tmp_path, capsys):
+    paths, _ = write_fig2_tree(tmp_path)
+    target = tmp_path / "scores"
+    target.mkdir()
+    assert main(["eval", "--pred", paths["coarse"], "--gt", paths["gt"],
+                 "--json-out", str(target)]) == 1
+    err = one_line_error(capsys)
+    assert err["type"] == "IsADirectoryError" and str(target) in err["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "coarse.json", "gt.json", "masklets.json", "scores"]
+    assert list(target.iterdir()) == []
 
 
 # --- golden outputs ---------------------------------------------------------------

@@ -343,3 +343,23 @@ def test_both_kinds_read_frame_lists_alike(tmp_path, payload, error, message):
     with pytest.raises(error) as info:
         load_manifest(path)
     assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("payload, message", [
+    ([coarse_payload([empty_mask(2, 2)], 2, 2)], "top level must be a JSON object"),
+    (coarse_payload([empty_mask(2, 2)], 2, 2, video_id=["v"]),
+     "'video_id' must be a string, got ['v']"),
+    (coarse_payload([empty_mask(2, 2)], 2, 2) | {"height": "2"},
+     "'height' must be a positive integer, got '2'"),
+    (coarse_payload([empty_mask(2, 2)], 2, 2) | {"width": 0},
+     "'width' must be a positive integer, got 0"),
+    (coarse_payload([empty_mask(2, 2)], 2, 2) | {"num_frames": 0},
+     "'num_frames' must be a positive integer, got 0"),
+    (masklet_payload([]), "'instances' must be an object"),
+], ids=["top-level-not-an-object", "video-id-not-a-string", "height-a-string", "width-zero",
+        "num-frames-zero", "instances-a-list"])
+def test_malformed_header_is_schema_error_naming_the_path(tmp_path, payload, message):
+    path = write_json(tmp_path / "m.json", payload)
+    with pytest.raises(ManifestSchemaError) as info:
+        load_manifest(path)
+    assert str(info.value) == f"{path}: {message}"
