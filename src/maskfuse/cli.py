@@ -29,9 +29,9 @@ from .manifest import (
     sequence_manifest,
     write_json_atomic,
 )
-from .metrics import evaluate_sequence
+from .metrics import EvalResult, evaluate_sequence
 from .overlay import export_overlay
-from .refine import DEFAULT_TAU, DEFAULT_WINDOW, RefineConfig, refine_video
+from .refine import DEFAULT_TAU, DEFAULT_WINDOW, RefineConfig, gate, refine_video
 from .synth import corruption_report, generate, scenario_from_dict
 
 # Longest error message ``main`` prints whole: messages quote input values of any size.
@@ -146,10 +146,18 @@ def _cmd_ablate(args) -> int:
 
     baseline = evaluate_sequence(coarse, gt)
     rows = [{"method": "baseline", "window": None, **baseline.summary()}]
+    fractions = gate(coarse, tracked)
+    # (J, F) per (frame, winner) key, which fixes the refined frame (RefineReport.winners).
+    scores = {(t, ()): jf for t, jf in enumerate(zip(baseline.per_frame_j, baseline.per_frame_f))}
     for cfg in configs:
-        refined = refine_video(coarse, tracked, cfg)
-        scores = evaluate_sequence(refined, gt).summary()
-        rows.append({"method": "refined", "window": cfg.window, **scores})
+        refined = refine_video(coarse, tracked, cfg, fractions=fractions)
+        keys = list(enumerate(refined.report.winners()))
+        new = [t for t, key in enumerate(keys) if key not in scores]
+        if new:
+            fresh = evaluate_sequence([refined[t] for t in new], [gt[t] for t in new])
+            scores.update(zip((keys[t] for t in new), zip(fresh.per_frame_j, fresh.per_frame_f)))
+        j, f = zip(*(scores[key] for key in keys))
+        rows.append({"method": "refined", "window": cfg.window, **EvalResult(j, f).summary()})
 
     header = ("method", "window", "J", "F", "J&F")
     cells = [header]

@@ -143,11 +143,13 @@ def write_json_atomic(path, obj) -> None:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp_path, path)
-    except BaseException:
+    except BaseException as exc:
         try:
             os.unlink(tmp_path)
         except OSError:
             pass
+        if isinstance(exc, OSError) and exc.filename == tmp_path:  # now deleted: name the target
+            raise type(exc)(exc.errno, exc.strerror, path) from None
         raise
 
 

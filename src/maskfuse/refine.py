@@ -248,6 +248,14 @@ class RefineReport:
             ],
         }
 
+    def winners(self) -> tuple[tuple[int, ...], ...]:
+        """Each frame's winning combination, ``()`` where the coarse frame passes through.
+
+        Refined frame ``t`` is determined by ``(t, winner)``, whatever the window or
+        ``tau``: the union of the winners' masklets at ``t``, or coarse frame ``t`` for ``()``.
+        """
+        return tuple(w.selected for w in self.windows for _ in range(w.start, w.stop))
+
 
 @dataclass(frozen=True, eq=False)
 class RefinedSequence(MaskSequence):
@@ -272,24 +280,32 @@ def overlap_fraction(instance_mask: Mask, frame_mask: Mask) -> float:
     return intersection_area(instance_mask, frame_mask) / instance_px
 
 
-def _gate_frame(coarse_frame: Mask, tracks: dict[int, MaskSequence],
-                frame_index: int, tau: float) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """Gate every instance at one frame; returns (surviving ids, all fractions)."""
-    kept = []
-    fractions = []
-    for iid in sorted(tracks):
-        f = overlap_fraction(tracks[iid].frames[frame_index], coarse_frame)
-        fractions.append(f)
-        if f > tau:
-            kept.append(iid)
-    return tuple(kept), tuple(fractions)
+def _frame_fractions(coarse_frame: Mask, tracks: dict[int, MaskSequence],
+                     frame_index: int) -> tuple[float, ...]:
+    """Every instance's overlap fraction at one frame, in instance-id order."""
+    return tuple(overlap_fraction(tracks[iid].frames[frame_index], coarse_frame)
+                 for iid in sorted(tracks))
+
+
+def _gate_frame(fractions: tuple[float, ...], tracks: dict[int, MaskSequence],
+                tau: float) -> tuple[int, ...]:
+    """Ids of the instances whose fraction (in instance-id order) strictly exceeds ``tau``."""
+    return tuple(iid for iid, f in zip(sorted(tracks), fractions) if f > tau)
+
+
+def gate(coarse: MaskSequence, tracked: MaskletSet) -> tuple[tuple[float, ...], ...]:
+    """The (T, N) table of overlap fractions: one row per frame, in instance-id
+    order. It depends on neither ``window`` nor ``tau``."""
+    require_aligned(coarse, tracked, "coarse sequence", "masklets")
+    return tuple(_frame_fractions(frame, tracked.tracks, t)
+                 for t, frame in enumerate(coarse.frames))
 
 
 def frame_combination(coarse_frame: Mask, tracked: MaskletSet, frame_index: int,
                       tau: float = DEFAULT_TAU) -> tuple[int, ...]:
     """Ids of the instances whose overlap fraction strictly exceeds ``tau``."""
-    combo, _ = _gate_frame(coarse_frame, tracked.tracks, frame_index, tau)
-    return combo
+    fractions = _frame_fractions(coarse_frame, tracked.tracks, frame_index)
+    return _gate_frame(fractions, tracked.tracks, tau)
 
 
 def select_combination(combinations, tie_break: str = "earliest") -> tuple[int, ...]:
@@ -312,18 +328,23 @@ def select_combination(combinations, tie_break: str = "earliest") -> tuple[int, 
 
 
 def refine_window(coarse_frames, tracks: dict[int, MaskSequence], cfg: RefineConfig,
-                  *, start: int = 0) -> tuple[tuple[Mask, ...], WindowRecord]:
+                  *, start: int = 0, fractions=None) -> tuple[tuple[Mask, ...], WindowRecord]:
     """Refine one window of frames.
 
     ``coarse_frames`` are the window's coarse masks; ``start`` is the index
     of the first one within the full video (tracks are indexed by absolute
-    frame). Returns the rebuilt frames and the window's trace record.
+    frame). ``fractions`` are the window's rows of the :func:`gate` table;
+    without them the window gates its own frames. Returns the rebuilt frames
+    and the window's trace record.
     """
-    records = []
-    for offset, coarse in enumerate(coarse_frames):
-        t = start + offset
-        combo, fractions = _gate_frame(coarse, tracks, t, cfg.tau)
-        records.append(FrameRecord(index=t, combination=combo, fractions=fractions))
+    if fractions is None:
+        fractions = [_frame_fractions(coarse, tracks, start + offset)
+                     for offset, coarse in enumerate(coarse_frames)]
+    elif len(fractions) != len(coarse_frames) or any(len(r) != len(tracks) for r in fractions):
+        raise ValueError(f"fractions must be {len(coarse_frames)} rows of {len(tracks)} values")
+    records = [FrameRecord(index=start + offset, combination=_gate_frame(row, tracks, cfg.tau),
+                           fractions=tuple(row))
+               for offset, row in enumerate(fractions)]
     selected = select_combination([r.combination for r in records], cfg.tie_break)
     if not selected:
         # Nothing survived the vote: pass the coarse frames through untouched.
@@ -340,27 +361,33 @@ def refine_window(coarse_frames, tracks: dict[int, MaskSequence], cfg: RefineCon
 
 
 def refine_video(coarse: MaskSequence, tracked: MaskletSet,
-                 cfg: RefineConfig | None = None, *, workers: int = 1) -> RefinedSequence:
+                 cfg: RefineConfig | None = None, *, workers: int = 1,
+                 fractions=None) -> RefinedSequence:
     """Refine a whole video.
 
     The video is split into consecutive non-overlapping windows of
     ``cfg.window`` frames (the last window may be shorter) and each window
-    is refined independently, in order, on the calling thread. ``workers``
-    must be at least 1 and is otherwise ignored: a thread pool over windows
-    measured slower than one thread, since the per-frame numpy calls are too
-    short for threads to do much besides contending for the GIL.
+    is refined independently, in order, on the calling thread. ``fractions``
+    is the :func:`gate` table of these inputs; it is computed when not given.
+    ``workers`` must be at least 1 and is otherwise ignored: a thread pool over
+    windows measured slower than one thread, since the per-frame numpy calls
+    are too short for threads to do much besides contending for the GIL.
     """
     if cfg is None:
         cfg = RefineConfig()
     require_aligned(coarse, tracked, "coarse sequence", "masklets")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    if fractions is None:
+        fractions = gate(coarse, tracked)
+    elif len(fractions) != coarse.num_frames:
+        raise ValueError(f"fractions must have {coarse.num_frames} rows, got {len(fractions)}")
 
     frames: list[Mask] = []
     window_records = []
     for start, stop in window_spans(coarse.num_frames, cfg.window):
-        out_frames, record = refine_window(coarse.frames[start:stop], tracked.tracks,
-                                           cfg, start=start)
+        out_frames, record = refine_window(coarse.frames[start:stop], tracked.tracks, cfg,
+                                           start=start, fractions=fractions[start:stop])
         frames.extend(out_frames)
         window_records.append(record)
     report = RefineReport(

@@ -110,9 +110,11 @@ class CorruptionSpec:
         if not is_int(k) or k < 0:
             raise ScenarioError(f"boundary_erosion_px must be a non-negative integer, got {k!r}")
         for name in ("forced_drops", "forced_adds"):
-            events = {_int_pair(entry, f"{name} entry (0-based frame, instance)")
-                      for entry in getattr(self, name)}
-            object.__setattr__(self, name, tuple(sorted(events)))
+            events = getattr(self, name)
+            if not isinstance(events, (tuple, list)):
+                raise ScenarioError(f"{name} must be a list of integer pairs, got {events!r}")
+            pairs = {_int_pair(e, f"{name} entry (0-based frame, instance)") for e in events}
+            object.__setattr__(self, name, tuple(sorted(pairs)))
 
 
 @dataclass(frozen=True)

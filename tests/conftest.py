@@ -48,3 +48,27 @@ def flicker_scenario() -> Scenario:
         seed=7,
         video_id="flicker",
     )
+
+
+def fallback_scenario() -> Scenario:
+    """Nine frames, two targets and one intruder. Frames 0-2 drop both targets
+    and frame 3 drops target 2, so 3-frame windows fall back to the coarse
+    frames at the start, 1-frame windows follow every corruption and a 9-frame
+    window keeps both targets everywhere."""
+    return Scenario(
+        frames=9,
+        height=24,
+        width=48,
+        instances=(
+            ShapeTrack(kind="rect", size=(6, 8), start=(2, 4), velocity=(0, 1)),
+            ShapeTrack(kind="disk", radius=4, start=(12, 30), velocity=(0, -1)),
+            ShapeTrack(kind="rect", size=(4, 6), start=(18, 10), velocity=(0, 2)),
+        ),
+        target=(1, 2),
+        corruption=CorruptionSpec(
+            forced_drops=((0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2), (3, 2)),
+            forced_adds=((5, 3),),
+        ),
+        seed=11,
+        video_id="fallback",
+    )

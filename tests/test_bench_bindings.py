@@ -10,7 +10,16 @@ import maskfuse.cli
 import maskfuse.manifest
 import maskfuse.masks
 import maskfuse.refine
-from maskfuse import fig2_scenario, generate, refine_video, scenario_to_dict
+from maskfuse import (
+    RefineConfig,
+    fig2_scenario,
+    generate,
+    masklet_manifest,
+    refine_video,
+    save_manifest,
+    scenario_to_dict,
+    sequence_manifest,
+)
 
 TRACER_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -69,3 +78,30 @@ def test_refine_video_accepts_the_workers_argument():
     result = generate(fig2_scenario())
     refined = refine_video(result.coarse, result.masklets, workers=2)
     assert refined.equals(refine_video(result.coarse, result.masklets))
+
+
+def test_traced_ablate_gates_once_and_scores_each_frame_and_winner_once(tmp_path, capsys):
+    result = generate(fig2_scenario())
+    coarse, tracked = result.coarse, result.masklets
+    paths = {}
+    for name, manifest in (("coarse", sequence_manifest("fig2", "coarse", coarse)),
+                           ("masklets", masklet_manifest("fig2", tracked)),
+                           ("gt", sequence_manifest("fig2", "gt", result.gt))):
+        paths[name] = str(tmp_path / f"{name}.json")
+        save_manifest(paths[name], manifest)
+    windows = (2, 5)
+    keys = {(t, winner) for w in windows for t, winner in
+            enumerate(refine_video(coarse, tracked, RefineConfig(window=w)).report.winners())}
+    fresh = keys - {(t, ()) for t in range(coarse.num_frames)}
+    tracer = load_tracer().Tracer()
+    tracer.install(0)
+    try:
+        code = maskfuse.cli.main(["ablate", "--coarse", paths["coarse"],
+                                  "--tracked", paths["masklets"], "--gt", paths["gt"],
+                                  "--windows", ",".join(map(str, windows))])
+    finally:
+        tracer.uninstall()
+    assert code == 0, capsys.readouterr().err
+    calls = [span[0] for span in tracer.spans]
+    assert calls.count("refine.gate") == coarse.num_frames * tracked.num_instances
+    assert calls.count("metrics.boundary_f") == coarse.num_frames + len(fresh)

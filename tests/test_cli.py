@@ -12,10 +12,11 @@ import maskfuse
 import maskfuse.cli
 import maskfuse.manifest
 import maskfuse.synth
-from conftest import flicker_scenario, rand_mask
+from conftest import fallback_scenario, flicker_scenario, rand_mask
 from maskfuse import (
     MaskletSet,
     MaskSequence,
+    RefineConfig,
     Scenario,
     ShapeTrack,
     evaluate_sequence,
@@ -23,6 +24,7 @@ from maskfuse import (
     generate,
     load_manifest,
     masklet_manifest,
+    refine_video,
     save_manifest,
     scenario_to_dict,
     sequence_manifest,
@@ -226,6 +228,28 @@ def test_ablate_zero_corruption_is_all_100(tmp_path, capsys):
     assert len(rows) == 3
     assert all(row["J&F"] == 100.0 and row["J"] == 100.0 and row["F"] == 100.0
                for row in rows)
+
+
+def test_ablate_rows_equal_refine_and_evaluate_run_per_window(tmp_path, capsys):
+    # Windows of 1, 3 and 9 frames pick different winners at the same frames,
+    # and the 3-frame window at the start falls back to the coarse frames.
+    paths, result = write_scenario_tree(tmp_path, fallback_scenario())
+    windows = [1, 2, 3, 4, 9]
+    json_out = tmp_path / "table.json"
+    assert main(["ablate", "--coarse", paths["coarse"], "--tracked", paths["masklets"],
+                 "--gt", paths["gt"], "--windows", ",".join(map(str, windows)),
+                 "--json-out", str(json_out)]) == 0
+    rows = json.loads(json_out.read_text())
+    want = [{"method": "baseline", "window": None,
+             **evaluate_sequence(result.coarse, result.gt).summary()}]
+    winners = set()
+    for window in windows:
+        refined = refine_video(result.coarse, result.masklets, RefineConfig(window=window))
+        winners.add(refined.report.winners())
+        want.append({"method": "refined", "window": window,
+                     **evaluate_sequence(refined, result.gt).summary()})
+    assert len(winners) == 4 and any(() in w for w in winners)
+    assert rows == json.loads(json.dumps(want))  # JSON round-trips floats exactly
 
 
 def test_ablate_rejects_bad_windows(tmp_path, capsys):
@@ -506,6 +530,7 @@ def test_failed_json_out_rename_is_one_error_and_leaves_no_temporary_file(tmp_pa
                  "--json-out", str(target)]) == 1
     err = one_line_error(capsys)
     assert err["type"] == "IsADirectoryError" and str(target) in err["message"]
+    assert ".tmp-" not in err["message"]
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "coarse.json", "gt.json", "masklets.json", "scores"]
     assert list(target.iterdir()) == []

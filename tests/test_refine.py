@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import mask_from_rows, rand_mask
+from conftest import fallback_scenario, mask_from_rows, rand_mask
 from maskfuse import (
     AlignmentError,
     MaskletSet,
@@ -12,13 +12,17 @@ from maskfuse import (
     RefineConfig,
     RefinedSequence,
     empty_mask,
+    fig2_scenario,
     frame_combination,
     full_mask,
+    generate,
     overlap_fraction,
     refine_video,
     refine_window,
     select_combination,
+    union,
 )
+from maskfuse.refine import gate
 
 
 def seq_of(*frames) -> MaskSequence:
@@ -361,6 +365,50 @@ def test_report_records_fractions_per_frame():
     assert frames[1].fractions == (1.0,)
     assert frames[0].combination == ()
     assert frames[1].combination == (1,)
+
+
+@pytest.mark.parametrize("scenario", [fig2_scenario, fallback_scenario])
+@pytest.mark.parametrize("window", [1, 2, 3, 5, 9])
+def test_a_supplied_gate_table_refines_like_gating_inside(scenario, window):
+    result = generate(scenario())
+    coarse, tracked = result.coarse, result.masklets
+    cfg = RefineConfig(window=window)
+    table = gate(coarse, tracked)
+    assert len(table) == coarse.num_frames
+    assert all(len(row) == tracked.num_instances for row in table)
+    inside = refine_video(coarse, tracked, cfg)
+    supplied = refine_video(coarse, tracked, cfg, fractions=table)
+    assert supplied.equals(inside)
+    assert supplied.report.to_json_dict() == inside.report.to_json_dict()
+    assert list(table) == [fr.fractions for w in inside.report.windows for fr in w.frames]
+
+
+def test_a_fraction_table_of_the_wrong_shape_raises():
+    result = generate(fallback_scenario())
+    coarse, tracked = result.coarse, result.masklets
+    table = gate(coarse, tracked)
+    cfg = RefineConfig(window=3)
+    for bad in (table[:-1], table + table[:1], tuple(row[:-1] for row in table),
+                tuple(row + (1.0,) for row in table), ()):
+        with pytest.raises(ValueError, match="fractions"):
+            refine_video(coarse, tracked, cfg, fractions=bad)
+    with pytest.raises(ValueError, match="fractions"):
+        refine_window(coarse.frames[:3], tracked.tracks, cfg, fractions=table[:2])
+
+
+def test_winners_determine_the_refined_frames():
+    result = generate(fallback_scenario())
+    coarse, tracked = result.coarse, result.masklets
+    for window in (1, 3, 9):
+        refined = refine_video(coarse, tracked, RefineConfig(window=window))
+        winners = refined.report.winners()
+        assert (() in winners) == (window != 9)  # 9 frames outvote the three dropped ones
+        assert winners == tuple(w.selected for w in refined.report.windows
+                                for _ in range(w.start, w.stop))
+        for t, winner in enumerate(winners):
+            want = (coarse[t] if winner == ()
+                    else union([tracked.frame(i, t) for i in winner], shape=coarse[t].shape))
+            assert np.array_equal(refined[t], want)
 
 
 def test_selected_combination_applies_to_every_frame_of_window():

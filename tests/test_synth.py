@@ -210,6 +210,10 @@ def test_corruption_spec_rejects_bad_values():
         CorruptionSpec(boundary_erosion_px=-2)
     with pytest.raises(ScenarioError):
         CorruptionSpec(forced_drops=((1,),))
+    with pytest.raises(ScenarioError, match="^forced_drops must be a list of integer pairs"):
+        CorruptionSpec(forced_drops=5)
+    with pytest.raises(ScenarioError, match="^forced_adds must be a list of integer pairs"):
+        CorruptionSpec(forced_adds="03")
 
 
 def test_scenario_rejects_misdirected_forced_events():
