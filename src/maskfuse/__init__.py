@@ -23,8 +23,6 @@ from .errors import (
     ShapeMismatchError,
 )
 from .manifest import (
-    KINDS,
-    SEQUENCE_KINDS,
     VideoManifest,
     load_manifest,
     masklet_manifest,
@@ -36,7 +34,6 @@ from .masks import (
     RleMask,
     area,
     empty_mask,
-    full_mask,
     intersection_area,
     iou,
     make_mask,
@@ -52,7 +49,7 @@ from .metrics import (
     mask_boundary,
     region_j,
 )
-from .overlay import export_overlay, write_pgm
+from .overlay import export_overlay
 from .refine import (
     DEFAULT_TAU,
     DEFAULT_WINDOW,
@@ -90,7 +87,6 @@ __all__ = [
     "DEFAULT_WINDOW",
     "EvalResult",
     "FrameRecord",
-    "KINDS",
     "ManifestError",
     "ManifestIntegrityError",
     "ManifestKindError",
@@ -107,7 +103,6 @@ __all__ = [
     "RleMask",
     "Scenario",
     "ScenarioError",
-    "SEQUENCE_KINDS",
     "ShapeMismatchError",
     "ShapeTrack",
     "SynthResult",
@@ -122,7 +117,6 @@ __all__ = [
     "export_overlay",
     "fig2_scenario",
     "frame_combination",
-    "full_mask",
     "generate",
     "intersection_area",
     "iou",
@@ -142,6 +136,5 @@ __all__ = [
     "select_combination",
     "sequence_manifest",
     "union",
-    "write_pgm",
     "__version__",
 ]

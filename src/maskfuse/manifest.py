@@ -137,9 +137,9 @@ def write_json_atomic(path, obj) -> None:
     text = json.dumps(obj, indent=2) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
     tmp_path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.json")
-    # O_EXCL never reuses an existing file; mode 0o666 lets the umask apply.
-    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
+        # O_EXCL never reuses an existing file; mode 0o666 lets the umask apply.
+        fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp_path, path)
@@ -148,7 +148,7 @@ def write_json_atomic(path, obj) -> None:
             os.unlink(tmp_path)
         except OSError:
             pass
-        if isinstance(exc, OSError) and exc.filename == tmp_path:  # now deleted: name the target
+        if isinstance(exc, OSError) and exc.filename == tmp_path:  # gone: name the target
             raise type(exc)(exc.errno, exc.strerror, path) from None
         raise
 

@@ -280,32 +280,30 @@ def overlap_fraction(instance_mask: Mask, frame_mask: Mask) -> float:
     return intersection_area(instance_mask, frame_mask) / instance_px
 
 
-def _frame_fractions(coarse_frame: Mask, tracks: dict[int, MaskSequence],
+def _frame_fractions(coarse_frame: Mask, tracked: MaskletSet,
                      frame_index: int) -> tuple[float, ...]:
     """Every instance's overlap fraction at one frame, in instance-id order."""
-    return tuple(overlap_fraction(tracks[iid].frames[frame_index], coarse_frame)
-                 for iid in sorted(tracks))
+    return tuple(overlap_fraction(tracked.frame(iid, frame_index), coarse_frame)
+                 for iid in tracked.instance_ids)
 
 
-def _gate_frame(fractions: tuple[float, ...], tracks: dict[int, MaskSequence],
-                tau: float) -> tuple[int, ...]:
-    """Ids of the instances whose fraction (in instance-id order) strictly exceeds ``tau``."""
-    return tuple(iid for iid, f in zip(sorted(tracks), fractions) if f > tau)
+def _combination(row, tau: float) -> tuple[int, ...]:
+    """Ids of the instances whose fraction strictly exceeds ``tau``; the row's
+    ``i``-th fraction (from 1) belongs to instance ``i``."""
+    return tuple(iid for iid, f in enumerate(row, start=1) if f > tau)
 
 
 def gate(coarse: MaskSequence, tracked: MaskletSet) -> tuple[tuple[float, ...], ...]:
     """The (T, N) table of overlap fractions: one row per frame, in instance-id
     order. It depends on neither ``window`` nor ``tau``."""
     require_aligned(coarse, tracked, "coarse sequence", "masklets")
-    return tuple(_frame_fractions(frame, tracked.tracks, t)
-                 for t, frame in enumerate(coarse.frames))
+    return tuple(_frame_fractions(frame, tracked, t) for t, frame in enumerate(coarse.frames))
 
 
 def frame_combination(coarse_frame: Mask, tracked: MaskletSet, frame_index: int,
                       tau: float = DEFAULT_TAU) -> tuple[int, ...]:
     """Ids of the instances whose overlap fraction strictly exceeds ``tau``."""
-    fractions = _frame_fractions(coarse_frame, tracked.tracks, frame_index)
-    return _gate_frame(fractions, tracked.tracks, tau)
+    return _combination(_frame_fractions(coarse_frame, tracked, frame_index), tau)
 
 
 def select_combination(combinations, tie_break: str = "earliest") -> tuple[int, ...]:
@@ -327,22 +325,19 @@ def select_combination(combinations, tie_break: str = "earliest") -> tuple[int, 
     return min(c for c, n in counts.items() if n == best)
 
 
-def refine_window(coarse_frames, tracks: dict[int, MaskSequence], cfg: RefineConfig,
-                  *, start: int = 0, fractions=None) -> tuple[tuple[Mask, ...], WindowRecord]:
-    """Refine one window of frames.
+def refine_window(coarse_frames, tracked: MaskletSet, cfg: RefineConfig,
+                  *, fractions, start: int = 0) -> tuple[tuple[Mask, ...], WindowRecord]:
+    """Vote and rebuild one window of frames.
 
     ``coarse_frames`` are the window's coarse masks; ``start`` is the index
-    of the first one within the full video (tracks are indexed by absolute
-    frame). ``fractions`` are the window's rows of the :func:`gate` table;
-    without them the window gates its own frames. Returns the rebuilt frames
-    and the window's trace record.
+    of the first one within the full video (masklets are indexed by absolute
+    frame). ``fractions`` are the window's rows of the :func:`gate` table.
+    Returns the rebuilt frames and the window's trace record.
     """
-    if fractions is None:
-        fractions = [_frame_fractions(coarse, tracks, start + offset)
-                     for offset, coarse in enumerate(coarse_frames)]
-    elif len(fractions) != len(coarse_frames) or any(len(r) != len(tracks) for r in fractions):
-        raise ValueError(f"fractions must be {len(coarse_frames)} rows of {len(tracks)} values")
-    records = [FrameRecord(index=start + offset, combination=_gate_frame(row, tracks, cfg.tau),
+    n = tracked.num_instances
+    if len(fractions) != len(coarse_frames) or any(len(row) != n for row in fractions):
+        raise ValueError(f"fractions must be {len(coarse_frames)} rows of {n} values")
+    records = [FrameRecord(index=start + offset, combination=_combination(row, cfg.tau),
                            fractions=tuple(row))
                for offset, row in enumerate(fractions)]
     selected = select_combination([r.combination for r in records], cfg.tie_break)
@@ -352,7 +347,7 @@ def refine_window(coarse_frames, tracks: dict[int, MaskSequence], cfg: RefineCon
     else:
         shape = coarse_frames[0].shape
         out = tuple(
-            union([tracks[iid].frames[start + offset] for iid in selected], shape=shape)
+            union([tracked.frame(iid, start + offset) for iid in selected], shape=shape)
             for offset in range(len(coarse_frames))
         )
     record = WindowRecord(start=start, stop=start + len(coarse_frames),
@@ -386,7 +381,7 @@ def refine_video(coarse: MaskSequence, tracked: MaskletSet,
     frames: list[Mask] = []
     window_records = []
     for start, stop in window_spans(coarse.num_frames, cfg.window):
-        out_frames, record = refine_window(coarse.frames[start:stop], tracked.tracks, cfg,
+        out_frames, record = refine_window(coarse.frames[start:stop], tracked, cfg,
                                            start=start, fractions=fractions[start:stop])
         frames.extend(out_frames)
         window_records.append(record)

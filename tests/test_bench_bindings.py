@@ -72,6 +72,10 @@ def test_traced_cli_pipeline_restores_every_binding(tmp_path, capsys):
     installed |= {"masks.rle_validate", "refine.report", "manifest.json_parse",
                   "manifest.json_dump"}
     assert installed - names == set()
+    # Windows vote and rebuild from their rows of the gate table; they never gate.
+    parents = {tracer.spans[span[3]][0] for span in tracer.spans
+               if span[0] == "refine.gate" and span[3] >= 0}
+    assert "refine.window" not in parents
 
 
 def test_refine_video_accepts_the_workers_argument():

@@ -534,6 +534,15 @@ def test_failed_json_out_rename_is_one_error_and_leaves_no_temporary_file(tmp_pa
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "coarse.json", "gt.json", "masklets.json", "scores"]
     assert list(target.iterdir()) == []
+    # A missing directory fails in the temporary file's open, before any rename.
+    missing = tmp_path / "missing" / "x.json"
+    assert main(["eval", "--pred", paths["coarse"], "--gt", paths["gt"],
+                 "--json-out", str(missing)]) == 1
+    err = one_line_error(capsys)
+    assert err["type"] == "FileNotFoundError" and str(missing) in err["message"]
+    assert ".tmp-" not in err["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "coarse.json", "gt.json", "masklets.json", "scores"]
 
 
 # --- golden outputs ---------------------------------------------------------------

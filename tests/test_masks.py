@@ -14,7 +14,6 @@ from maskfuse import (
     ShapeMismatchError,
     area,
     empty_mask,
-    full_mask,
     intersection_area,
     iou,
     make_mask,
@@ -22,7 +21,7 @@ from maskfuse import (
     rle_encode,
     union,
 )
-from maskfuse.masks import erode
+from maskfuse.masks import erode, full_mask
 
 
 def test_make_mask_coerces_dtype_and_keeps_shape():

@@ -14,11 +14,11 @@ from maskfuse import (
     default_boundary_tolerance,
     empty_mask,
     evaluate_sequence,
-    full_mask,
     iou,
     mask_boundary,
     region_j,
 )
+from maskfuse.masks import full_mask
 from maskfuse.metrics import _chebyshev_zone
 
 

@@ -6,7 +6,8 @@ import pytest
 
 import maskfuse.overlay
 from conftest import SEQUENCE_FORMS, mask_from_rows, rand_mask, sequence_as
-from maskfuse import MaskSequence, export_overlay, write_pgm
+from maskfuse import MaskSequence, export_overlay
+from maskfuse.overlay import write_pgm
 
 
 def pgm_bytes(mask) -> bytes:

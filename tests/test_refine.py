@@ -14,7 +14,6 @@ from maskfuse import (
     empty_mask,
     fig2_scenario,
     frame_combination,
-    full_mask,
     generate,
     overlap_fraction,
     refine_video,
@@ -22,6 +21,7 @@ from maskfuse import (
     select_combination,
     union,
 )
+from maskfuse.masks import full_mask
 from maskfuse.refine import gate
 
 
@@ -237,7 +237,8 @@ def test_window_with_empty_selection_passes_coarse_through():
     # nothing ever overlaps -> every combination is empty -> coarse untouched
     coarse = seq_of(mask_from_rows("##.."), mask_from_rows(".##."))
     tracks = MaskletSet.from_tracks([seq_of(mask_from_rows("...#"), mask_from_rows("...#"))])
-    out, record = refine_window(coarse.frames, tracks.tracks, RefineConfig(window=2))
+    out, record = refine_window(coarse.frames, tracks, RefineConfig(window=2),
+                                fractions=gate(coarse, tracks))
     assert record.selected == ()
     assert all(np.array_equal(o, c) for o, c in zip(out, coarse.frames))
 
@@ -248,7 +249,8 @@ def test_window_rebuilds_frames_from_selected_union():
     tracks = MaskletSet.from_tracks([a, b])
     # coarse covers both instances fully in both frames
     coarse = seq_of(full_mask(2, 2), full_mask(2, 2))
-    out, record = refine_window(coarse.frames, tracks.tracks, RefineConfig(window=2, tau=0.5))
+    out, record = refine_window(coarse.frames, tracks, RefineConfig(window=2, tau=0.5),
+                                fractions=gate(coarse, tracks))
     assert record.selected == (1, 2)
     assert np.array_equal(out[0], mask_from_rows("#.", "#."))
     assert np.array_equal(out[1], mask_from_rows(".#", ".#"))
@@ -381,6 +383,10 @@ def test_a_supplied_gate_table_refines_like_gating_inside(scenario, window):
     assert supplied.equals(inside)
     assert supplied.report.to_json_dict() == inside.report.to_json_dict()
     assert list(table) == [fr.fractions for w in inside.report.windows for fr in w.frames]
+    for w in supplied.report.windows:
+        for fr in w.frames:
+            assert fr.combination == frame_combination(coarse[fr.index], tracked, fr.index,
+                                                       cfg.tau)
 
 
 def test_a_fraction_table_of_the_wrong_shape_raises():
@@ -393,7 +399,7 @@ def test_a_fraction_table_of_the_wrong_shape_raises():
         with pytest.raises(ValueError, match="fractions"):
             refine_video(coarse, tracked, cfg, fractions=bad)
     with pytest.raises(ValueError, match="fractions"):
-        refine_window(coarse.frames[:3], tracked.tracks, cfg, fractions=table[:2])
+        refine_window(coarse.frames[:3], tracked, cfg, fractions=table[:2])
 
 
 def test_winners_determine_the_refined_frames():
