@@ -19,9 +19,9 @@ file in the target directory, and renamed into place, so a failed save
 never leaves a partial manifest behind. The file gets the mode a plain
 ``open(path, "w")`` would give it, ``0o666`` less the process umask.
 
-A manifest whose frames would decode to more than ``MAX_MASK_PIXELS`` mask
-pixels in total is rejected before any mask data is decoded, and so is a
-JSON object that repeats a key.
+A manifest whose frames would exceed the mask budget (``masks.require_mask_budget``)
+is rejected before any mask data is decoded, and so is a JSON object that
+repeats a key.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import (
     ManifestSchemaError,
     RleFormatError,
 )
-from .masks import MAX_MASK_PIXELS, Mask, RleMask, is_int, rle_decode, rle_encode
+from .masks import Mask, RleMask, is_int, require_mask_budget, rle_decode, rle_encode
 from .refine import MaskletSet, MaskSequence
 
 KINDS = ("coarse", "masklets", "refined", "gt")
@@ -191,14 +191,6 @@ def read_json(path, error: type[Exception], duplicate_error: type[Exception]):
         raise error(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _require_budget(path, num_frames: int, height: int, width: int, sequences: int) -> None:
-    if num_frames * height * width * sequences > MAX_MASK_PIXELS:
-        raise ManifestIntegrityError(
-            f"{path}: {sequences} sequence(s) of {num_frames} frames of {height}x{width} "
-            f"exceed the limit of {MAX_MASK_PIXELS} decoded mask pixels"
-        )
-
-
 def _frames_from_json(entries, instance: int | None, num_frames: int, height: int,
                      width: int, path) -> list[Mask]:
     """Decode one frame list: ``frames``, or instance ``instance``'s list of a masklet set."""
@@ -233,7 +225,7 @@ def load_manifest(path) -> VideoManifest:
     :class:`ManifestSchemaError` when fields are missing or of
     the wrong type, and :class:`ManifestIntegrityError` when the mask data
     violates an invariant (naming the offending frame or instance) or
-    would decode to more than ``MAX_MASK_PIXELS`` pixels.
+    would exceed the mask budget (``masks.require_mask_budget``).
     """
     obj = read_json(path, ManifestParseError, ManifestSchemaError)
     if not isinstance(obj, dict):
@@ -250,7 +242,7 @@ def load_manifest(path) -> VideoManifest:
 
     if kind != "masklets":
         entries = _require_key(obj, "frames", path)
-        _require_budget(path, num_frames, height, width, 1)
+        require_mask_budget(1, num_frames, height, width, ManifestIntegrityError, f"{path}: ")
         frames = _frames_from_json(entries, None, num_frames, height, width, path)
         return VideoManifest(video_id=video_id, kind=kind, data=frames)
 
@@ -264,7 +256,8 @@ def load_manifest(path) -> VideoManifest:
             canonical = False
         if not canonical:
             raise ManifestSchemaError(f"{path}: instance keys must be decimal strings, got {key!r}")
-    _require_budget(path, num_frames, height, width, len(instances))
+    require_mask_budget(len(instances), num_frames, height, width, ManifestIntegrityError,
+                        f"{path}: ")
     tracks = {iid: _frames_from_json(instances[str(iid)], iid, num_frames, height, width, path)
               for iid in sorted(map(int, instances))}
     try:

@@ -23,10 +23,24 @@ from .errors import RleFormatError, ShapeMismatchError
 # A mask: 2-D numpy array of bool, True marks foreground pixels.
 Mask = np.ndarray
 
-# Most mask pixels, summed over every frame of every sequence, that one
-# manifest may decode or one scenario may render: 4 GiB as bools. Both
-# check it before allocating, so a small input cannot ask for unbounded memory.
+# The mask budget: the most mask pixels, summed over every frame of every
+# sequence, that one manifest may decode or one scenario may render (4 GiB as
+# bools). A frame counts as at least MIN_FRAME_PIXELS, as beyond its pixels it
+# costs about 600 bytes (array header, tuple slot, RLE object, JSON text), so
+# a small input cannot ask for unbounded memory.
 MAX_MASK_PIXELS = 2**32
+MIN_FRAME_PIXELS = 1024
+
+
+def require_mask_budget(sequences: int, frames: int, height: int, width: int,
+                        error: type[Exception], prefix: str = "") -> None:
+    """Raise ``error`` (its message starting with ``prefix``) unless ``sequences``
+    sequences of ``frames`` frames of ``height`` x ``width`` fit the mask budget.
+    Call it before decoding or rendering any of them."""
+    if sequences * frames * max(height * width, MIN_FRAME_PIXELS) > MAX_MASK_PIXELS:
+        raise error(f"{prefix}{sequences} sequence(s) of {frames} frames of {height}x{width} "
+                    f"exceed the limit of {MAX_MASK_PIXELS} mask pixels, each frame "
+                    f"counting as at least {MIN_FRAME_PIXELS}")
 
 
 def is_int(value) -> bool:
@@ -73,17 +87,11 @@ def intersection_area(a: Mask, b: Mask) -> int:
     return int(np.count_nonzero(np.logical_and(a, b)))
 
 
-def union(masks, *, shape: tuple[int, int] | None = None) -> Mask:
-    """Pixel-wise OR of the given masks.
-
-    An empty list is only valid with an explicit ``shape`` and yields an
-    all-background mask of those dimensions.
-    """
+def union(masks) -> Mask:
+    """Pixel-wise OR of the given masks; an empty list is a ``ValueError``."""
     mask_list = list(masks)
     if not mask_list:
-        if shape is None:
-            raise ValueError("union of an empty mask list requires an explicit shape")
-        return empty_mask(*shape)
+        raise ValueError("union needs at least one mask")
     first = make_mask(mask_list[0])
     out = first.astype(bool, copy=True)
     for m in mask_list[1:]:

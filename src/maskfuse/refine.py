@@ -345,9 +345,8 @@ def refine_window(coarse_frames, tracked: MaskletSet, cfg: RefineConfig,
         # Nothing survived the vote: pass the coarse frames through untouched.
         out = tuple(coarse_frames)
     else:
-        shape = coarse_frames[0].shape
         out = tuple(
-            union([tracked.frame(iid, start + offset) for iid in selected], shape=shape)
+            union([tracked.frame(iid, start + offset) for iid in selected])
             for offset in range(len(coarse_frames))
         )
     record = WindowRecord(start=start, stop=start + len(coarse_frames),

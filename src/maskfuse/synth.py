@@ -17,7 +17,7 @@ row-major (frame, then instance) order, for dropouts, followed by a
 happen even when the corresponding probability is zero, so adding forced
 events never shifts the stream.
 
-Frame indices are 0-based in this API; exported JSON uses 1-based frames.
+Frame indices are 0-based in this API, 1-based in JSON and error messages.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ScenarioError
-from .masks import MAX_MASK_PIXELS, Mask, empty_mask, erode, is_int, union
+from .masks import Mask, empty_mask, erode, is_int, require_mask_budget, union
 from .refine import MaskletSet, MaskSequence, window_spans
 
 SHAPE_KINDS = ("rect", "disk")
@@ -143,11 +143,7 @@ class Scenario:
             raise ScenarioError("a scenario needs at least one instance")
         n = len(instances)
         # Every instance, the ground truth and the coarse sequence get T frames.
-        if self.frames * self.height * self.width * (n + 2) > MAX_MASK_PIXELS:
-            raise ScenarioError(
-                f"{n + 2} sequences of {self.frames} frames of {self.height}x{self.width} "
-                f"exceed the limit of {MAX_MASK_PIXELS} rendered mask pixels"
-            )
+        require_mask_budget(n + 2, self.frames, self.height, self.width, ScenarioError)
         for idx, track in enumerate(instances, start=1):
             if not isinstance(track, ShapeTrack):
                 raise ScenarioError(f"instance {idx} is not a ShapeTrack: {track!r}")
@@ -173,7 +169,7 @@ class Scenario:
                 ("add", self.corruption.forced_adds, self.non_target, "a non-target")):
             for frame, iid in forced:
                 if not 0 <= frame < self.frames:
-                    raise ScenarioError(f"forced {verb} frame {frame} outside 0..{self.frames - 1}")
+                    raise ScenarioError(f"forced {verb} frame {frame + 1} outside 1..{self.frames}")
                 if iid not in allowed:
                     raise ScenarioError(f"forced {verb} instance {iid} is not {role} instance")
         if not is_int(self.seed) or self.seed < 0:
@@ -248,7 +244,7 @@ def generate(scenario: Scenario) -> SynthResult:
     }
     masklets = MaskletSet(tracks=rendered)
     gt_frames = tuple(
-        union([rendered[iid][t] for iid in scenario.target], shape=(H, W))
+        union([rendered[iid][t] for iid in scenario.target])
         for t in range(T)
     )
 
@@ -264,7 +260,8 @@ def generate(scenario: Scenario) -> SynthResult:
     for t in range(T):
         parts = [rendered[iid][t] for iid in scenario.target if (t, iid) not in drops]
         parts += [rendered[iid][t] for iid in scenario.non_target if (t, iid) in adds]
-        coarse_frames.append(erode(union(parts, shape=(H, W)), spec.boundary_erosion_px))
+        coarse = union(parts) if parts else empty_mask(H, W)
+        coarse_frames.append(erode(coarse, spec.boundary_erosion_px))
 
     corrupted = tuple(
         t for t in range(T) if not np.array_equal(coarse_frames[t], gt_frames[t])
@@ -355,10 +352,10 @@ def _events_from_json(obj, name: str) -> tuple[tuple[int, int], ...]:
                 f"corruption.{name} entries must be objects with keys 'frame' and 'instance', "
                 f"got {entry!r}"
             )
-        frame = entry["frame"]
-        if not is_int(frame) or frame < 1:
-            raise ScenarioError(f"corruption.{name} frames are 1-based integers, got {frame!r}")
-        events.append((frame - 1, entry["instance"]))
+        if not (is_int(entry["frame"]) and entry["frame"] >= 1 and is_int(entry["instance"])):
+            raise ScenarioError(f"corruption.{name} entries need a 1-based integer frame and "
+                                f"an integer instance, got {entry!r}")
+        events.append((entry["frame"] - 1, entry["instance"]))
     return tuple(events)
 
 

@@ -344,7 +344,8 @@ def run_synth(tmp_path, spec) -> tuple[int, object]:
     return main(["synth", "--spec", str(spec_path), "--out-dir", str(out_dir)]), out_dir
 
 
-@pytest.mark.parametrize("frames, side", [(400, 2**14), (10**12, 8)])
+# 10**9 frames of 1x1 fit by pixels alone; each frame must count for more.
+@pytest.mark.parametrize("frames, side", [(400, 2**14), (10**12, 8), (10**9, 1)])
 def test_oversized_scenario_is_rejected_before_rendering(tmp_path, capsys, monkeypatch,
                                                          frames, side):
     rendered = []
@@ -354,7 +355,9 @@ def test_oversized_scenario_is_rejected_before_rendering(tmp_path, capsys, monke
         raise AssertionError("the scenario must be rejected before it is rendered")
 
     monkeypatch.setattr(maskfuse.synth, "_render_track", no_render)
-    code, out_dir = run_synth(tmp_path, synth_spec(frames=frames, height=side, width=side))
+    rect = {"kind": "rect", "size": [min(side, 2)] * 2}  # one that fits, so the budget decides
+    code, out_dir = run_synth(tmp_path, synth_spec(frames=frames, height=side, width=side,
+                                                   instances=[rect]))
     assert code == 1
     err = one_line_error(capsys)
     assert err["type"] == "ScenarioError"
@@ -452,11 +455,19 @@ RECT = {"kind": "rect", "size": [2, 2]}
     ({"instances": []}, "instance"),
     ({"instances": RECT}, "instances"),
     ({"corruption": {"forced_drops": {"frame": 1, "instance": 1}}}, "forced_drops"),
+    ({"frames": 5, "corruption": {"forced_drops": [{"frame": 6, "instance": 1}]}},
+     "forced drop frame 6 outside 1..5"),
+    ({"frames": 5, "instances": [RECT, RECT],
+      "corruption": {"forced_adds": [{"frame": 6, "instance": 2}]}},
+     "forced add frame 6 outside 1..5"),
+    ({"corruption": {"forced_adds": [{"frame": 2, "instance": "x"}]}},
+     "{'frame': 2, 'instance': 'x'}"),
 ], ids=["rect-size-of-one", "negative-seed", "velocty", "unknown-top-level-key",
         "unknown-instance-key", "unknown-corruption-key", "unknown-event-key",
         "rect-with-radius", "disk-with-size", "missing-kind", "fractional-frames",
         "target-not-a-list", "instance-not-an-object", "rect-size-zero", "negative-radius",
-        "zero-height", "no-instances", "instances-not-a-list", "forced-drops-not-a-list"])
+        "zero-height", "no-instances", "instances-not-a-list", "forced-drops-not-a-list",
+        "forced-drop-frame-past-end", "forced-add-frame-past-end", "event-instance-not-an-int"])
 def test_malformed_spec_is_one_scenario_error_naming_the_key(tmp_path, capsys, overrides,
                                                               named):
     code, out_dir = run_synth(tmp_path, synth_spec(**overrides))

@@ -21,7 +21,13 @@ from maskfuse import (
     rle_encode,
     union,
 )
-from maskfuse.masks import erode, full_mask
+from maskfuse.masks import (
+    MAX_MASK_PIXELS,
+    MIN_FRAME_PIXELS,
+    erode,
+    full_mask,
+    require_mask_budget,
+)
 
 
 def test_make_mask_coerces_dtype_and_keeps_shape():
@@ -71,10 +77,16 @@ def test_union_does_not_modify_inputs():
     assert np.array_equal(a, a_before)
 
 
-def test_union_empty_list_needs_shape():
-    assert np.array_equal(union([], shape=(2, 3)), empty_mask(2, 3))
+def test_union_of_an_empty_list_is_an_error():
     with pytest.raises(ValueError):
         union([])
+
+
+def test_mask_budget_counts_a_small_frame_as_min_frame_pixels():
+    frames = MAX_MASK_PIXELS // MIN_FRAME_PIXELS
+    require_mask_budget(1, frames, 1, 1, ValueError)
+    with pytest.raises(ValueError, match=f"^p: 1 sequence\\(s\\) of {frames + 1} frames of 1x1 "):
+        require_mask_budget(1, frames + 1, 1, 1, ValueError, "p: ")
 
 
 def test_union_rejects_mixed_shapes():

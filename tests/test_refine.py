@@ -413,7 +413,7 @@ def test_winners_determine_the_refined_frames():
                                 for _ in range(w.start, w.stop))
         for t, winner in enumerate(winners):
             want = (coarse[t] if winner == ()
-                    else union([tracked.frame(i, t) for i in winner], shape=coarse[t].shape))
+                    else union([tracked.frame(i, t) for i in winner]))
             assert np.array_equal(refined[t], want)
 
 

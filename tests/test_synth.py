@@ -222,9 +222,9 @@ def test_scenario_rejects_misdirected_forced_events():
     with pytest.raises(ScenarioError,
                        match="^forced add instance 1 is not a non-target instance$"):
         simple_scenario(corruption=CorruptionSpec(forced_adds=((0, 1),)))
-    with pytest.raises(ScenarioError, match=r"^forced drop frame 6 outside 0\.\.5$"):
+    with pytest.raises(ScenarioError, match=r"^forced drop frame 7 outside 1\.\.6$"):
         simple_scenario(corruption=CorruptionSpec(forced_drops=((6, 1),)))
-    with pytest.raises(ScenarioError, match=r"^forced add frame 6 outside 0\.\.5$"):
+    with pytest.raises(ScenarioError, match=r"^forced add frame 7 outside 1\.\.6$"):
         simple_scenario(corruption=CorruptionSpec(forced_adds=((6, 2),)))
 
 
