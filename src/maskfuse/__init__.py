@@ -60,7 +60,6 @@ from .refine import (
     RefinedSequence,
     RefineReport,
     WindowRecord,
-    frame_combination,
     overlap_fraction,
     refine_video,
     refine_window,
@@ -116,7 +115,6 @@ __all__ = [
     "evaluate_sequence",
     "export_overlay",
     "fig2_scenario",
-    "frame_combination",
     "generate",
     "intersection_area",
     "iou",

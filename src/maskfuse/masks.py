@@ -65,11 +65,6 @@ def empty_mask(height: int, width: int) -> Mask:
     return np.zeros((height, width), dtype=bool)
 
 
-def full_mask(height: int, width: int) -> Mask:
-    """All-foreground mask of the given dimensions."""
-    return np.ones((height, width), dtype=bool)
-
-
 def require_same_shape(a: Mask, b: Mask) -> None:
     """Raise :class:`ShapeMismatchError` unless the two masks share dimensions."""
     if np.shape(a) != np.shape(b):

@@ -123,10 +123,6 @@ class EvalResult:
         object.__setattr__(self, "per_frame_j", pj)
         object.__setattr__(self, "per_frame_f", pf)
 
-    @classmethod
-    def from_per_frame(cls, per_frame_j, per_frame_f) -> "EvalResult":
-        return cls(per_frame_j, per_frame_f)
-
     @property
     def num_frames(self) -> int:
         return len(self.per_frame_j)

@@ -263,10 +263,6 @@ class RefinedSequence(MaskSequence):
 
     report: RefineReport
 
-    def as_sequence(self) -> MaskSequence:
-        """The frames alone, as a plain mask sequence over the same arrays."""
-        return MaskSequence(frames=self.frames)
-
 
 def overlap_fraction(instance_mask: Mask, frame_mask: Mask) -> float:
     """Fraction of the instance's pixels covered by the frame mask.
@@ -280,30 +276,13 @@ def overlap_fraction(instance_mask: Mask, frame_mask: Mask) -> float:
     return intersection_area(instance_mask, frame_mask) / instance_px
 
 
-def _frame_fractions(coarse_frame: Mask, tracked: MaskletSet,
-                     frame_index: int) -> tuple[float, ...]:
-    """Every instance's overlap fraction at one frame, in instance-id order."""
-    return tuple(overlap_fraction(tracked.frame(iid, frame_index), coarse_frame)
-                 for iid in tracked.instance_ids)
-
-
-def _combination(row, tau: float) -> tuple[int, ...]:
-    """Ids of the instances whose fraction strictly exceeds ``tau``; the row's
-    ``i``-th fraction (from 1) belongs to instance ``i``."""
-    return tuple(iid for iid, f in enumerate(row, start=1) if f > tau)
-
-
 def gate(coarse: MaskSequence, tracked: MaskletSet) -> tuple[tuple[float, ...], ...]:
     """The (T, N) table of overlap fractions: one row per frame, in instance-id
     order. It depends on neither ``window`` nor ``tau``."""
     require_aligned(coarse, tracked, "coarse sequence", "masklets")
-    return tuple(_frame_fractions(frame, tracked, t) for t, frame in enumerate(coarse.frames))
-
-
-def frame_combination(coarse_frame: Mask, tracked: MaskletSet, frame_index: int,
-                      tau: float = DEFAULT_TAU) -> tuple[int, ...]:
-    """Ids of the instances whose overlap fraction strictly exceeds ``tau``."""
-    return _combination(_frame_fractions(coarse_frame, tracked, frame_index), tau)
+    return tuple(tuple(overlap_fraction(tracked.frame(iid, t), frame)
+                       for iid in tracked.instance_ids)
+                 for t, frame in enumerate(coarse.frames))
 
 
 def select_combination(combinations, tie_break: str = "earliest") -> tuple[int, ...]:
@@ -337,8 +316,10 @@ def refine_window(coarse_frames, tracked: MaskletSet, cfg: RefineConfig,
     n = tracked.num_instances
     if len(fractions) != len(coarse_frames) or any(len(row) != n for row in fractions):
         raise ValueError(f"fractions must be {len(coarse_frames)} rows of {n} values")
-    records = [FrameRecord(index=start + offset, combination=_combination(row, cfg.tau),
-                           fractions=tuple(row))
+    # A row's i-th fraction (from 1) belongs to instance i; it survives above tau.
+    records = [FrameRecord(index=start + offset, fractions=tuple(row),
+                           combination=tuple(i for i, f in enumerate(row, start=1)
+                                             if f > cfg.tau))
                for offset, row in enumerate(fractions)]
     selected = select_combination([r.combination for r in records], cfg.tie_break)
     if not selected:

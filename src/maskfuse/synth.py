@@ -207,6 +207,11 @@ def _render_track(track: ShapeTrack, frame_index: int, height: int, width: int) 
     return mask
 
 
+def _strict_minority(corrupted: int, frames: int) -> bool:
+    """True when ``corrupted`` of a window's ``frames`` frames are fewer than half."""
+    return 2 * corrupted < frames
+
+
 @dataclass(frozen=True, eq=False)
 class SynthResult:
     """Rendered scenario: aligned ground truth, masklets, and coarse masks.
@@ -232,7 +237,7 @@ class SynthResult:
 
     def minority_everywhere(self, window: int) -> bool:
         """True when corruption hits a strict minority of frames in every window."""
-        return all(2 * n < (e - s) for s, e, n in self.window_corruption(window))
+        return all(_strict_minority(n, e - s) for s, e, n in self.window_corruption(window))
 
 
 def generate(scenario: Scenario) -> SynthResult:
@@ -320,7 +325,7 @@ def corruption_report(result: SynthResult, window: int) -> dict:
                 "first_frame": s + 1,
                 "last_frame": e,
                 "corrupted": n,
-                "strict_minority": bool(2 * n < (e - s)),
+                "strict_minority": _strict_minority(n, e - s),
             }
             for s, e, n in result.window_corruption(window)
         ],

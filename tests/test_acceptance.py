@@ -21,7 +21,6 @@ from maskfuse import (
     boundary_f,
     evaluate_sequence,
     fig2_scenario,
-    frame_combination,
     generate,
     intersection_area,
     iou,
@@ -47,9 +46,9 @@ def _report(name: str, elapsed: float, budget: float | None = None) -> None:
 def test_fig2_golden_trace():
     t0 = perf_counter()
     result = generate(fig2_scenario())
-    combos = [frame_combination(result.coarse[t], result.masklets, t) for t in range(5)]
-    assert combos == [(2,), (2,), (1, 2), (2,), (2,)]
     refined = refine_video(result.coarse, result.masklets, RefineConfig(window=5, tau=0.8))
+    combos = [fr.combination for fr in refined.report.windows[0].frames]
+    assert combos == [(2,), (2,), (1, 2), (2,), (2,)]
     assert refined.report.windows[0].selected == (2,)
     assert np.array_equal(refined.frames[2], result.masklets.frame(2, 2))
     elapsed = perf_counter() - t0
@@ -145,7 +144,7 @@ def test_recovery_from_minority_corruption():
 
         refined = refine_video(result.coarse, result.masklets,
                                RefineConfig(window=window, tau=0.8))
-        assert refined.as_sequence().equals(result.gt), \
+        assert refined.equals(result.gt), \
             f"scenario {scenario.video_id} (seed {scenario.seed}) not recovered"
         score = evaluate_sequence(refined, result.gt)
         assert score.jf_mean * 100.0 == 100.0
@@ -212,7 +211,7 @@ def test_boundary_metric_matches_bruteforce_oracle():
         per_f.append(got)
     result = evaluate_sequence([np.ones((3, 3), dtype=bool)], [np.ones((3, 3), dtype=bool)])
     assert result.jf_mean == (result.j_mean + result.f_mean) / 2.0
-    bundled = EvalResult.from_per_frame(per_j, per_f)
+    bundled = EvalResult(per_j, per_f)
     assert bundled.jf_mean == (bundled.j_mean + bundled.f_mean) / 2.0
     elapsed = perf_counter() - t0
     _report(f"boundary metric equals brute-force oracle on {pairs} pairs, "
@@ -286,7 +285,7 @@ def test_throughput_and_worker_determinism():
     elapsed = perf_counter() - t0
     assert elapsed <= 10.0, f"single-core refine took {elapsed:.2f}s"
 
-    assert refined.as_sequence().equals(gt)  # 2 corrupted frames per 15 is a minority
+    assert refined.equals(gt)  # 2 corrupted frames per 15 is a minority
 
     threaded = refine_video(coarse, masklets, RefineConfig(window=15, tau=0.8), workers=8)
     assert refined.report == threaded.report

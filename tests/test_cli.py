@@ -365,12 +365,33 @@ def test_oversized_scenario_is_rejected_before_rendering(tmp_path, capsys, monke
     assert rendered == [] and not out_dir.exists()
 
 
-def run_python(code: str, *args: str, timeout: float) -> subprocess.CompletedProcess:
-    """Run ``python -c code`` in a fresh interpreter that imports this maskfuse."""
+def run_python(*args: str, timeout: float) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter that imports this maskfuse."""
     src = os.path.dirname(os.path.dirname(maskfuse.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           timeout=timeout, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(synth_spec(frames=0)))
+    bad_dir = tmp_path / "bad"
+    proc = run_python("-m", "maskfuse.cli", "synth", "--spec", str(spec),
+                      "--out-dir", str(bad_dir), timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    err_lines = proc.stderr.splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["error"]["type"] == "ScenarioError"
+    assert not bad_dir.exists()
+    spec.write_text(json.dumps(scenario_to_dict(fig2_scenario())))
+    out_dir = tmp_path / "out"
+    proc = run_python("-m", "maskfuse.cli", "synth", "--spec", str(spec),
+                      "--out-dir", str(out_dir), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    names = ["coarse.json", "corruption.json", "gt.json", "masklets.json"]
+    assert sorted(p.name for p in out_dir.iterdir()) == names
+    assert sorted(proc.stdout.splitlines()) == [str(out_dir / name) for name in names]
 
 
 def test_synth_with_huge_erosion_finishes_with_empty_coarse_frames(tmp_path):
@@ -381,8 +402,8 @@ def test_synth_with_huge_erosion_finishes_with_empty_coarse_frames(tmp_path):
     spec_path.write_text(json.dumps(spec))
     out_dir = tmp_path / "out"
     # A subprocess, so that an erosion loop that never ends fails the test.
-    proc = run_python("import sys; from maskfuse.cli import main; sys.exit(main(sys.argv[1:]))",
-                      "synth", "--spec", str(spec_path), "--out-dir", str(out_dir), timeout=20)
+    proc = run_python("-m", "maskfuse.cli", "synth", "--spec", str(spec_path),
+                      "--out-dir", str(out_dir), timeout=20)
     assert proc.returncode == 0, proc.stderr
     gt = load_manifest(out_dir / "gt.json").data
     coarse = load_manifest(out_dir / "coarse.json").data
@@ -394,7 +415,8 @@ def test_synth_with_huge_erosion_finishes_with_empty_coarse_frames(tmp_path):
 
 
 def test_cli_does_not_import_scipy():
-    proc = run_python("import sys, maskfuse.cli; print('scipy' in sys.modules)", timeout=60)
+    proc = run_python("-c", "import sys, maskfuse.cli; print('scipy' in sys.modules)",
+                      timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 

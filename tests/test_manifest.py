@@ -244,6 +244,22 @@ def test_save_is_atomic_and_leaves_no_droppings(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["out.json"]
 
 
+def test_an_interrupted_save_propagates_unchanged_and_leaves_no_temporary_file(
+        tmp_path, monkeypatch):
+    # Not an OSError naming the temporary file, so it is re-raised as it is.
+    interrupt = KeyboardInterrupt("stop")
+
+    def replace(src, dst):
+        raise interrupt
+
+    monkeypatch.setattr(os, "replace", replace)
+    seq = MaskSequence(frames=(np.zeros((2, 2), dtype=bool),))
+    with pytest.raises(KeyboardInterrupt) as info:
+        save_manifest(tmp_path / "out.json", sequence_manifest("v", "coarse", seq))
+    assert info.value is interrupt
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
 def test_save_gives_the_umask_mode(tmp_path, umask, mode):
     seq = MaskSequence(frames=(np.zeros((2, 2), dtype=bool),))

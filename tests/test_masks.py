@@ -25,7 +25,6 @@ from maskfuse.masks import (
     MAX_MASK_PIXELS,
     MIN_FRAME_PIXELS,
     erode,
-    full_mask,
     require_mask_budget,
 )
 
@@ -108,7 +107,7 @@ def test_erode_matches_cross_erosion(shape):
     # every pixel is gone after this many steps; erode stops there
     clamp = (min(h, w) + 1) // 2
     rng = np.random.default_rng(100 * h + w)
-    masks = [full_mask(h, w), empty_mask(h, w)]
+    masks = [np.ones((h, w), dtype=bool), empty_mask(h, w)]
     masks += [rand_mask(rng, h, w, p=p) for p in (0.5, 0.8, 0.95, 0.99)]
     steps = {1, 2, 3, 4, 5, clamp, clamp + 1, 10**9} | ({clamp - 1} - {0})
     for m in masks:
@@ -121,7 +120,7 @@ def test_erode_matches_cross_erosion(shape):
 
 def test_iou_conventions():
     assert iou(empty_mask(4, 4), empty_mask(4, 4)) == 1.0
-    assert iou(full_mask(3, 3), full_mask(3, 3)) == 1.0
+    assert iou(np.ones((3, 3), dtype=bool), np.ones((3, 3), dtype=bool)) == 1.0
     assert iou(mask_from_rows("#."), mask_from_rows(".#")) == 0.0
     assert iou(mask_from_rows("##"), mask_from_rows("#.")) == 0.5
 
@@ -190,7 +189,7 @@ def test_inclusion_exclusion_identity(data):
 
 def test_rle_golden_examples():
     assert rle_encode(empty_mask(2, 3)).counts == (6,)
-    assert rle_encode(full_mask(2, 3)).counts == (0, 6)
+    assert rle_encode(np.ones((2, 3), dtype=bool)).counts == (0, 6)
     m = mask_from_rows("##.", "..#")
     # flat: T T F F F T
     assert rle_encode(m).counts == (0, 2, 3, 1)
@@ -275,7 +274,7 @@ def test_rle_numpy_counts_serialise_as_json():
 
 def test_rle_leading_zero_is_allowed_only_first():
     rle = RleMask(height=1, width=4, counts=(0, 4))
-    assert np.array_equal(rle_decode(rle), full_mask(1, 4))
+    assert np.array_equal(rle_decode(rle), np.ones((1, 4), dtype=bool))
 
 
 def test_rle_json_roundtrip():

@@ -18,7 +18,6 @@ from maskfuse import (
     mask_boundary,
     region_j,
 )
-from maskfuse.masks import full_mask
 from maskfuse.metrics import _chebyshev_zone
 
 
@@ -48,16 +47,16 @@ def test_region_j_is_plain_iou():
 
 
 def test_mask_boundary_ring():
-    m = full_mask(3, 3)
+    m = np.ones((3, 3), dtype=bool)
     expected = mask_from_rows("###", "#.#", "###")
     assert np.array_equal(mask_boundary(m), expected)
 
 
 def test_mask_boundary_counts_image_border_as_background():
     # a full single row touches the border everywhere -> all boundary
-    m = full_mask(1, 4)
+    m = np.ones((1, 4), dtype=bool)
     assert np.array_equal(mask_boundary(m), m)
-    big = full_mask(4, 4)
+    big = np.ones((4, 4), dtype=bool)
     expected = mask_from_rows("####", "#..#", "#..#", "####")
     assert np.array_equal(mask_boundary(big), expected)
 
@@ -83,8 +82,8 @@ def test_default_boundary_tolerance():
 
 def test_boundary_f_conventions():
     assert boundary_f(empty_mask(8, 8), empty_mask(8, 8)) == 1.0
-    assert boundary_f(empty_mask(8, 8), full_mask(8, 8)) == 0.0
-    assert boundary_f(full_mask(8, 8), empty_mask(8, 8)) == 0.0
+    assert boundary_f(empty_mask(8, 8), np.ones((8, 8), dtype=bool)) == 0.0
+    assert boundary_f(np.ones((8, 8), dtype=bool), empty_mask(8, 8)) == 0.0
     m = mask_from_rows("....", ".##.", "....")
     assert boundary_f(m, m) == 1.0
 
@@ -145,11 +144,11 @@ def test_chebyshev_zone_on_thin_and_edge_touching_frames():
     masks = []
     for n in (1, 2, 7, 40):
         masks += [rand_mask(rng, 1, n, p=0.1), rand_mask(rng, n, 1, p=0.1)]
-    ring = full_mask(9, 13)
+    ring = np.ones((9, 13), dtype=bool)
     ring[1:-1, 1:-1] = False
     corners = empty_mask(9, 13)
     corners[[0, 0, -1, -1], [0, -1, 0, -1]] = True
-    masks += [ring, corners, full_mask(5, 6), empty_mask(5, 6)]
+    masks += [ring, corners, np.ones((5, 6), dtype=bool), empty_mask(5, 6)]
     for m in masks:
         longest = max(m.shape)
         # up to and past max(H, W), where the zone is the whole frame
@@ -177,8 +176,8 @@ def test_boundary_f_full_size_frames_match_iterated_dilation(tolerance):
     assert boundary_f(disk, shifted, tolerance_px=tolerance) < 1.0
 
 
-def test_eval_result_from_per_frame():
-    r = EvalResult.from_per_frame([1.0, 0.5], [0.75, 0.25])
+def test_eval_result_means():
+    r = EvalResult([1.0, 0.5], [0.75, 0.25])
     assert r.j_mean == 0.75
     assert r.f_mean == 0.5
     assert r.jf_mean == 0.625
@@ -193,9 +192,9 @@ def test_eval_result_rejects_inconsistent_mean():
     r = EvalResult(per_frame_j=(1.0,), per_frame_f=(0.0,))
     assert (r.j_mean, r.f_mean, r.jf_mean) == (1.0, 0.0, 0.5)
     with pytest.raises(ValueError):
-        EvalResult.from_per_frame([], [])
+        EvalResult([], [])
     with pytest.raises(ValueError):
-        EvalResult.from_per_frame([1.0], [1.0, 0.5])
+        EvalResult([1.0], [1.0, 0.5])
 
 
 def test_eval_result_rejects_scores_outside_unit_interval():
@@ -213,12 +212,12 @@ def test_eval_result_rejects_scores_outside_unit_interval():
 def test_jf_mean_identity_property(per_j, data):
     per_f = data.draw(st.lists(st.floats(0, 1, allow_nan=False),
                                min_size=len(per_j), max_size=len(per_j)))
-    r = EvalResult.from_per_frame(per_j, per_f)
+    r = EvalResult(per_j, per_f)
     assert r.jf_mean == (r.j_mean + r.f_mean) / 2.0
 
 
 def test_eval_result_json_is_percentage_scaled():
-    r = EvalResult.from_per_frame([1.0, 0.5], [1.0, 1.0])
+    r = EvalResult([1.0, 0.5], [1.0, 1.0])
     obj = r.to_json_dict()
     assert obj["J"] == 75.0
     assert obj["F"] == 100.0

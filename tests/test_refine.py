@@ -13,7 +13,6 @@ from maskfuse import (
     RefinedSequence,
     empty_mask,
     fig2_scenario,
-    frame_combination,
     generate,
     overlap_fraction,
     refine_video,
@@ -21,12 +20,17 @@ from maskfuse import (
     select_combination,
     union,
 )
-from maskfuse.masks import full_mask
-from maskfuse.refine import gate
+from maskfuse.refine import gate, window_spans
 
 
 def seq_of(*frames) -> MaskSequence:
     return MaskSequence(frames=tuple(frames))
+
+
+def gated(coarse_frame, tracks: MaskletSet, tau: float) -> tuple[int, ...]:
+    """The gate's combination for a one-frame video, read from its refine report."""
+    refined = refine_video(seq_of(coarse_frame), tracks, RefineConfig(window=1, tau=tau))
+    return refined.report.windows[0].frames[0].combination
 
 
 def single_window_refine(coarse, tracks, tau=0.8, tie_break="earliest"):
@@ -49,6 +53,14 @@ def test_mask_sequence_equals():
     c = seq_of(mask_from_rows("#."), mask_from_rows("##"))
     assert a.equals(b)
     assert not a.equals(c)
+    assert not a.equals(seq_of(mask_from_rows("#."))) and not seq_of(a[0]).equals(a)
+
+
+def test_window_spans_rejects_a_window_below_one():
+    assert window_spans(7, 5) == [(0, 5), (5, 7)]
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="window must be at least 1"):
+            window_spans(7, bad)
 
 
 def test_masklet_set_requires_contiguous_ids():
@@ -130,10 +142,10 @@ def test_refine_config_stores_numpy_scalars_as_python_numbers():
 
 def test_overlap_fraction_basics():
     inst = mask_from_rows("##", "##")
-    assert overlap_fraction(inst, full_mask(2, 2)) == 1.0
+    assert overlap_fraction(inst, np.ones((2, 2), dtype=bool)) == 1.0
     assert overlap_fraction(inst, empty_mask(2, 2)) == 0.0
     assert overlap_fraction(inst, mask_from_rows("##", "..")) == 0.5
-    assert overlap_fraction(empty_mask(2, 2), full_mask(2, 2)) == 0.0
+    assert overlap_fraction(empty_mask(2, 2), np.ones((2, 2), dtype=bool)) == 0.0
 
 
 def test_gate_threshold_is_strict():
@@ -141,16 +153,16 @@ def test_gate_threshold_is_strict():
     inst = mask_from_rows("####")
     coarse = mask_from_rows("###.")
     tracks = MaskletSet.from_tracks([seq_of(inst)])
-    assert frame_combination(coarse, tracks, 0, tau=0.75) == ()
-    assert frame_combination(coarse, tracks, 0, tau=0.74) == (1,)
+    assert gated(coarse, tracks, 0.75) == ()
+    assert gated(coarse, tracks, 0.74) == (1,)
 
 
-def test_frame_combination_orders_ids_ascending():
+def test_gate_combination_orders_ids_ascending():
     a = mask_from_rows("#...")
     b = mask_from_rows("...#")
     coarse = mask_from_rows("#..#")
     tracks = MaskletSet.from_tracks([seq_of(a), seq_of(b)])
-    assert frame_combination(coarse, tracks, 0, tau=0.5) == (1, 2)
+    assert gated(coarse, tracks, 0.5) == (1, 2)
 
 
 def test_overlap_fraction_matches_oracle():
@@ -176,7 +188,7 @@ def test_gate_keeps_well_covered_instance_and_drops_the_other():
     tracks = MaskletSet.from_tracks([seq_of(inst1), seq_of(inst2)])
     assert overlap_fraction(inst1, coarse) == 0.9
     assert overlap_fraction(inst2, coarse) == 0.1
-    assert frame_combination(coarse, tracks, 0, tau=0.8) == (1,)
+    assert gated(coarse, tracks, 0.8) == (1,)
 
 
 def test_raising_tau_never_adds_instances_to_a_combination():
@@ -188,8 +200,8 @@ def test_raising_tau_never_adds_instances_to_a_combination():
         tracks = MaskletSet.from_tracks(
             [seq_of(rand_mask(rng, h, w, p=0.4)) for _ in range(n)])
         taus = sorted(float(t) for t in rng.uniform(0.0, 1.0, size=2))
-        low = frame_combination(coarse, tracks, 0, tau=taus[0])
-        high = frame_combination(coarse, tracks, 0, tau=taus[1])
+        low = gated(coarse, tracks, taus[0])
+        high = gated(coarse, tracks, taus[1])
         assert set(high) <= set(low)
 
 
@@ -248,7 +260,7 @@ def test_window_rebuilds_frames_from_selected_union():
     b = seq_of(mask_from_rows("..", "#."), mask_from_rows("..", ".#"))
     tracks = MaskletSet.from_tracks([a, b])
     # coarse covers both instances fully in both frames
-    coarse = seq_of(full_mask(2, 2), full_mask(2, 2))
+    coarse = seq_of(np.ones((2, 2), dtype=bool), np.ones((2, 2), dtype=bool))
     out, record = refine_window(coarse.frames, tracks, RefineConfig(window=2, tau=0.5),
                                 fractions=gate(coarse, tracks))
     assert record.selected == (1, 2)
@@ -263,7 +275,7 @@ def test_refine_is_a_fixpoint_when_coarse_equals_single_track():
     coarse = seq_of(*frames)
     refined = refine_video(coarse, MaskletSet.from_tracks([track]),
                            RefineConfig(window=3, tau=0.8))
-    assert refined.as_sequence().equals(coarse)
+    assert refined.equals(coarse)
 
 
 def test_refine_is_a_fixpoint_on_unions_of_disjoint_tracks():
@@ -296,7 +308,7 @@ def test_refine_is_a_fixpoint_on_unions_of_disjoint_tracks():
                            tie_break=str(rng.choice(["earliest", "smallest"])))
         refined = refine_video(seq_of(*coarse_frames),
                                MaskletSet.from_tracks(tracks), cfg)
-        assert refined.as_sequence().equals(seq_of(*coarse_frames))
+        assert refined.equals(seq_of(*coarse_frames))
 
 
 def test_refine_video_window_partition():
@@ -314,7 +326,7 @@ def test_refine_video_with_no_instances_returns_coarse():
     coarse = seq_of(*[rand_mask(rng, 3, 4) for _ in range(6)])
     tracks = MaskletSet.from_tracks({}, num_frames=6, height=3, width=4)
     refined = refine_video(coarse, tracks, RefineConfig(window=4))
-    assert refined.as_sequence().equals(coarse)
+    assert refined.equals(coarse)
 
 
 def test_refined_sequence_is_a_mask_sequence():
@@ -326,11 +338,10 @@ def test_refined_sequence_is_a_mask_sequence():
     assert isinstance(refined, MaskSequence)
     assert (refined.num_frames, len(refined), refined.height, refined.width) == (T, T, h, w)
     assert refined[-1] is refined.frames[-1]
-    plain = refined.as_sequence()
+    plain = MaskSequence(frames=refined)
     assert type(plain) is MaskSequence
     assert all(a is b for a, b in zip(plain.frames, refined.frames))
     assert plain.equals(refined) and refined.equals(plain)
-    assert MaskSequence(frames=refined).equals(refined)
 
 
 def test_refined_sequence_validates_its_frames():
@@ -385,8 +396,8 @@ def test_a_supplied_gate_table_refines_like_gating_inside(scenario, window):
     assert list(table) == [fr.fractions for w in inside.report.windows for fr in w.frames]
     for w in supplied.report.windows:
         for fr in w.frames:
-            assert fr.combination == frame_combination(coarse[fr.index], tracked, fr.index,
-                                                       cfg.tau)
+            assert fr.combination == tuple(i for i, f in enumerate(table[fr.index], start=1)
+                                           if f > cfg.tau)
 
 
 def test_a_fraction_table_of_the_wrong_shape_raises():
@@ -437,7 +448,7 @@ def test_workers_do_not_change_output():
     cfg = RefineConfig(window=4, tau=0.3)
     one = refine_video(coarse, tracks, cfg, workers=1)
     many = refine_video(coarse, tracks, cfg, workers=8)
-    assert one.as_sequence().equals(many.as_sequence())
+    assert one.equals(many)
     assert one.report == many.report
 
 

@@ -13,7 +13,6 @@ from maskfuse import (
     area,
     evaluate_sequence,
     fig2_scenario,
-    frame_combination,
     generate,
     refine_video,
     scenario_from_dict,
@@ -199,6 +198,9 @@ def test_scenario_rejects_bad_shapes_and_targets():
                         target=(1,))
     with pytest.raises(ScenarioError):
         simple_scenario(instances=(ShapeTrack(kind="rect", start=(0, 0)),), target=(1,))
+    with pytest.raises(ScenarioError, match=r"^instance 2 is not a ShapeTrack: \{'kind'"):
+        simple_scenario(instances=(ShapeTrack(kind="rect", size=(2, 2)),
+                                   {"kind": "rect", "size": (2, 2)}))
 
 
 def test_corruption_spec_rejects_bad_values():
@@ -232,8 +234,8 @@ def test_scenario_rejects_misdirected_forced_events():
 
 def test_fig2_combination_trace():
     result = generate(fig2_scenario())
-    combos = [frame_combination(result.coarse[t], result.masklets, t)
-              for t in range(5)]
+    refined = refine_video(result.coarse, result.masklets, RefineConfig(window=5, tau=0.8))
+    combos = [fr.combination for fr in refined.report.windows[0].frames]
     assert combos == [(2,), (2,), (1, 2), (2,), (2,)]
 
 
