@@ -11,8 +11,9 @@ A manifest is a single JSON object:
     }
 
 where each RLE is ``{"h": .., "w": .., "counts": [..]}`` (see ``masks``).
-Instance keys are contiguous decimal strings starting at "1". Frame and
-instance numbers in error messages are 1-based, matching the file.
+Instance keys are contiguous decimal strings starting at "1"; instance "i"
+is ``MaskletSet.tracks[i - 1]``. Frame and instance numbers in error messages
+are 1-based, matching the file.
 
 Writes are atomic: the JSON is fully serialized, written to a temporary
 file in the target directory, and renamed into place, so a failed save
@@ -122,7 +123,7 @@ def manifest_to_json_dict(manifest: VideoManifest) -> dict:
     }
     if manifest.kind == "masklets":
         out["instances"] = {str(iid): _frames_to_json(seq)
-                            for iid, seq in manifest.data.tracks.items()}
+                            for iid, seq in enumerate(manifest.data.tracks, start=1)}
     else:
         out["frames"] = _frames_to_json(manifest.data)
     return out
@@ -256,12 +257,13 @@ def load_manifest(path) -> VideoManifest:
             canonical = False
         if not canonical:
             raise ManifestSchemaError(f"{path}: instance keys must be decimal strings, got {key!r}")
-    require_mask_budget(len(instances), num_frames, height, width, ManifestIntegrityError,
-                        f"{path}: ")
-    tracks = {iid: _frames_from_json(instances[str(iid)], iid, num_frames, height, width, path)
-              for iid in sorted(map(int, instances))}
-    try:
-        data = MaskletSet(tracks=tracks, num_frames=num_frames, height=height, width=width)
-    except ValueError as exc:
-        raise ManifestIntegrityError(f"{path}: {exc}") from exc
+    ids = sorted(map(int, instances))
+    if ids != list(range(1, len(ids) + 1)):
+        raise ManifestIntegrityError(
+            f"{path}: instance ids must be contiguous integers starting at 1, got {ids}")
+    require_mask_budget(len(ids), num_frames, height, width, ManifestIntegrityError, f"{path}: ")
+    tracks = [_frames_from_json(instances[str(iid)], iid, num_frames, height, width, path)
+              for iid in ids]
+    # Every track was checked against the header above, so the set cannot reject it.
+    data = MaskletSet(tracks=tracks, num_frames=num_frames, height=height, width=width)
     return VideoManifest(video_id=video_id, kind=kind, data=data)

@@ -50,10 +50,10 @@ class MaskSequence:
         if not frames:
             raise ValueError("a mask sequence needs at least one frame")
         shape = frames[0].shape
-        for idx, f in enumerate(frames):
+        for idx, f in enumerate(frames, start=1):
             if f.shape != shape:
                 raise ValueError(
-                    f"frame {idx} has shape {f.shape}, expected {shape} from frame 0"
+                    f"frame {idx} has shape {f.shape}, expected {shape} from frame 1"
                 )
         object.__setattr__(self, "frames", frames)
 
@@ -86,28 +86,25 @@ class MaskSequence:
 class MaskletSet:
     """Tracked per-instance masklets, all covering the same frame range.
 
-    ``tracks`` maps 1-based instance id to that instance's mask sequence
-    (or any iterable of masks, which becomes one). Ids must be the ints
-    ``1..N`` and every track must cover the same frames of the same size;
-    the constructor checks both and takes the dimensions from the tracks.
-    Explicit dimensions must agree with the tracks. ``N = 0`` (no tracked
-    instances) is allowed with explicit dimensions, and makes the refiner
-    fall back to the coarse input everywhere.
+    ``tracks`` is a list or tuple of per-instance mask sequences (or iterables
+    of masks, which become ones); instance ``i`` (1-based) is ``tracks[i - 1]``
+    and is stored as a tuple. Every track must cover the same frames of the
+    same size; the constructor checks this and takes the dimensions from the
+    tracks. Explicit dimensions must agree with the tracks. ``N = 0`` (no
+    tracked instances) is allowed with explicit dimensions, and makes the
+    refiner fall back to the coarse input everywhere.
     """
 
-    tracks: dict[int, MaskSequence]
+    tracks: tuple[MaskSequence, ...]
     num_frames: int | None = None
     height: int | None = None
     width: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.tracks, dict):
-            raise ValueError(f"tracks must be a dict, got {type(self.tracks).__name__}")
-        ids = list(self.tracks)
-        if not all(map(is_int, ids)) or sorted(ids) != list(range(1, len(ids) + 1)):
-            raise ValueError(f"instance ids must be contiguous integers starting at 1, got {ids}")
-        tracks = {iid: seq if isinstance(seq, MaskSequence) else MaskSequence(frames=seq)
-                  for iid, seq in sorted(self.tracks.items())}
+        if not isinstance(self.tracks, (list, tuple)):
+            raise ValueError(f"tracks must be a list or tuple, got {type(self.tracks).__name__}")
+        tracks = tuple(seq if isinstance(seq, MaskSequence) else MaskSequence(frames=seq)
+                       for seq in self.tracks)
         object.__setattr__(self, "tracks", tracks)
         declared = (self.num_frames, self.height, self.width)
         if not tracks:
@@ -115,34 +112,25 @@ class MaskletSet:
                 raise ValueError("an empty masklet set needs explicit num_frames, height and "
                                  f"width of at least 1, got {declared}")
             return
-        dims = (tracks[1].num_frames, tracks[1].height, tracks[1].width)
+        dims = (tracks[0].num_frames, tracks[0].height, tracks[0].width)
         want = tuple(t if d is None else d for d, t in zip(declared, dims))
-        for iid, seq in tracks.items():
+        for iid, seq in enumerate(tracks, start=1):
             if (seq.num_frames, seq.height, seq.width) != want:
                 raise ValueError(f"masklet {iid} covers {seq.num_frames} frames of {seq.height}x"
                                  f"{seq.width}, expected {want[0]} frames of {want[1]}x{want[2]}")
         for name, value in zip(("num_frames", "height", "width"), dims):
             object.__setattr__(self, name, value)
 
-    @classmethod
-    def from_tracks(cls, tracks: dict[int, MaskSequence] | list[MaskSequence],
-                    *, num_frames: int | None = None,
-                    height: int | None = None, width: int | None = None) -> "MaskletSet":
-        """Build a set from a list (implicitly ids 1..N) or an id-keyed dict."""
-        if not isinstance(tracks, dict):
-            tracks = {i + 1: seq for i, seq in enumerate(tracks)}
-        return cls(tracks=tracks, num_frames=num_frames, height=height, width=width)
-
-    @property
-    def instance_ids(self) -> tuple[int, ...]:
-        return tuple(range(1, len(self.tracks) + 1))
-
     @property
     def num_instances(self) -> int:
         return len(self.tracks)
 
     def frame(self, instance_id: int, frame_index: int) -> Mask:
-        return self.tracks[instance_id].frames[frame_index]
+        """Instance ``instance_id``'s mask at frame ``frame_index``; ``KeyError``
+        for an id outside ``1..num_instances``."""
+        if not 1 <= instance_id <= len(self.tracks):
+            raise KeyError(instance_id)
+        return self.tracks[instance_id - 1].frames[frame_index]
 
 
 def require_aligned(a, b, a_name: str, b_name: str) -> None:
@@ -281,7 +269,7 @@ def gate(coarse: MaskSequence, tracked: MaskletSet) -> tuple[tuple[float, ...], 
     order. It depends on neither ``window`` nor ``tau``."""
     require_aligned(coarse, tracked, "coarse sequence", "masklets")
     return tuple(tuple(overlap_fraction(tracked.frame(iid, t), frame)
-                       for iid in tracked.instance_ids)
+                       for iid in range(1, tracked.num_instances + 1))
                  for t, frame in enumerate(coarse.frames))
 
 

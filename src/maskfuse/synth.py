@@ -203,7 +203,7 @@ def _render_track(track: ShapeTrack, frame_index: int, height: int, width: int) 
             mask[r0:r1, c0:c1] = True
         else:
             yy, xx = np.ogrid[r0:r1, c0:c1]
-            mask[r0:r1, c0:c1] = (yy - row) ** 2 + (xx - col) ** 2 <= r ** 2
+            mask[r0:r1, c0:c1] = (xx - col) ** 2 <= r ** 2 - (yy - row) ** 2
     return mask
 
 
@@ -243,13 +243,10 @@ class SynthResult:
 def generate(scenario: Scenario) -> SynthResult:
     """Render a scenario. Same scenario, same bits — always."""
     T, H, W = scenario.frames, scenario.height, scenario.width
-    rendered = {
-        iid: tuple(_render_track(track, t, H, W) for t in range(T))
-        for iid, track in enumerate(scenario.instances, start=1)
-    }
-    masklets = MaskletSet(tracks=rendered)
+    masklets = MaskletSet(tracks=[[_render_track(track, t, H, W) for t in range(T)]
+                                  for track in scenario.instances])
     gt_frames = tuple(
-        union([rendered[iid][t] for iid in scenario.target])
+        union([masklets.frame(iid, t) for iid in scenario.target])
         for t in range(T)
     )
 
@@ -263,8 +260,8 @@ def generate(scenario: Scenario) -> SynthResult:
 
     coarse_frames = []
     for t in range(T):
-        parts = [rendered[iid][t] for iid in scenario.target if (t, iid) not in drops]
-        parts += [rendered[iid][t] for iid in scenario.non_target if (t, iid) in adds]
+        parts = [masklets.frame(iid, t) for iid in scenario.target if (t, iid) not in drops]
+        parts += [masklets.frame(iid, t) for iid in scenario.non_target if (t, iid) in adds]
         coarse = union(parts) if parts else empty_mask(H, W)
         coarse_frames.append(erode(coarse, spec.boundary_erosion_px))
 

@@ -23,8 +23,8 @@ def sequence_as(form: str, frames):
     seq = MaskSequence(frames=frames)
     if form == "MaskSequence":
         return seq
-    no_tracks = MaskletSet.from_tracks({}, num_frames=seq.num_frames,
-                                       height=seq.height, width=seq.width)
+    no_tracks = MaskletSet(tracks=[], num_frames=seq.num_frames,
+                           height=seq.height, width=seq.width)
     return refine_video(seq, no_tracks)
 
 

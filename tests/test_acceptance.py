@@ -71,18 +71,18 @@ def test_engine_matches_bruteforce_oracle():
 
         coarse = MaskSequence(frames=tuple(
             rng.random((h, w)) < rng.choice([0.25, 0.5, 0.8]) for _ in range(T)))
-        tracks = MaskletSet.from_tracks(
-            [MaskSequence(frames=tuple(
+        tracks = MaskletSet(
+            tracks=[MaskSequence(frames=tuple(
                 rng.random((h, w)) < rng.choice([0.2, 0.4, 0.7]) for _ in range(T)))
-             for _ in range(N)],
+                    for _ in range(N)],
             num_frames=T, height=h, width=w)
 
         refined = refine_video(coarse, tracks,
                                RefineConfig(window=window, tau=tau, tie_break=policy))
         want_frames, want_traces = oracles.refine_naive(
             [oracles.to_grid(f) for f in coarse.frames],
-            {i: [oracles.to_grid(f) for f in tracks.tracks[i].frames]
-             for i in tracks.tracks},
+            {i: [oracles.to_grid(f) for f in seq.frames]
+             for i, seq in enumerate(tracks.tracks, start=1)},
             window, tau, policy)
 
         for got, want in zip(refined.frames, want_frames):
@@ -260,7 +260,7 @@ def _perf_fixture():
 
     tracks = [MaskSequence(frames=tuple(instance_epochs[i][t // 3] for t in range(T)))
               for i in range(5)]
-    masklets = MaskletSet.from_tracks(tracks)
+    masklets = MaskletSet(tracks=tracks)
 
     gt_epochs = [union([instance_epochs[i][e] for i in range(5)])
                  for e in range(n_epochs)]

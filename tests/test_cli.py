@@ -84,7 +84,7 @@ def test_refine_with_empty_masklets_copies_coarse(tmp_path):
     coarse = MaskSequence(frames=tuple(rand_mask(rng, 4, 5) for _ in range(6)))
     coarse_path = tmp_path / "coarse.json"
     save_manifest(coarse_path, sequence_manifest("v", "coarse", coarse))
-    empty = MaskletSet.from_tracks({}, num_frames=6, height=4, width=5)
+    empty = MaskletSet(tracks=[], num_frames=6, height=4, width=5)
     tracked_path = tmp_path / "tracked.json"
     save_manifest(tracked_path, masklet_manifest("v", empty))
     out = tmp_path / "refined.json"
@@ -103,7 +103,7 @@ def test_refine_report_window_spans(tmp_path):
     save_manifest(coarse_path, sequence_manifest("v", "coarse", coarse))
     tracked_path = tmp_path / "tracked.json"
     save_manifest(tracked_path, masklet_manifest(
-        "v", MaskletSet.from_tracks({}, num_frames=7, height=3, width=3)))
+        "v", MaskletSet(tracks=[], num_frames=7, height=3, width=3)))
     report = tmp_path / "report.json"
     assert main(["refine", "--coarse", str(coarse_path), "--tracked", str(tracked_path),
                  "--out", str(tmp_path / "r.json"), "--window", "5",

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -77,16 +78,15 @@ def test_sequence_manifest_rejects_ragged_frames():
 
 def test_masklet_save_load_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
-    tracks = MaskletSet.from_tracks(
-        [MaskSequence(frames=tuple(rand_mask(rng, 4, 6) for _ in range(3)))
-         for _ in range(2)])
+    tracks = MaskletSet(tracks=[MaskSequence(frames=tuple(rand_mask(rng, 4, 6) for _ in range(3)))
+                                for _ in range(2)])
     path = tmp_path / "tracks.json"
     save_manifest(path, masklet_manifest("demo", tracks))
     loaded = load_manifest(path)
     assert loaded.kind == "masklets"
     assert loaded.data.num_instances == 2
     for iid in (1, 2):
-        assert loaded.data.tracks[iid].equals(tracks.tracks[iid])
+        assert loaded.data.tracks[iid - 1].equals(tracks.tracks[iid - 1])
 
 
 def test_fig2_masklets_roundtrip(tmp_path):
@@ -97,7 +97,7 @@ def test_fig2_masklets_roundtrip(tmp_path):
     assert loaded.num_instances == 2
     assert loaded.num_frames == 5
     for iid in (1, 2):
-        assert loaded.tracks[iid].equals(result.masklets.tracks[iid])
+        assert loaded.tracks[iid - 1].equals(result.masklets.tracks[iid - 1])
 
 
 def test_single_all_false_frame(tmp_path):
@@ -160,14 +160,26 @@ def test_rle_dims_must_match_header(tmp_path):
         load_manifest(write_json(tmp_path / "d.json", payload))
 
 
-def test_masklet_ids_must_be_contiguous(tmp_path):
+@pytest.mark.parametrize("keys, bad_rle_key, got", [
+    (("2",), None, "[2]"),
+    (("1", "3"), None, "[1, 3]"),
+    (("1", "3"), "3", "[1, 3]"),
+], ids=["id-2-only", "gap", "gap-before-a-malformed-rle"])
+def test_masklet_ids_must_be_contiguous(tmp_path, keys, bad_rle_key, got):
+    # The ids are checked before any frame is decoded, so a malformed RLE
+    # under a non-contiguous id still reports the ids.
     frame = rle_obj(np.zeros((2, 2), dtype=bool))
+    instances = {key: [frame] for key in keys}
+    if bad_rle_key is not None:
+        instances[bad_rle_key] = [{"h": 2, "w": 2, "counts": [5]}]
     payload = {
         "video_id": "v", "kind": "masklets", "height": 2, "width": 2,
-        "num_frames": 1, "instances": {"1": [frame], "3": [frame]},
+        "num_frames": 1, "instances": instances,
     }
-    with pytest.raises(ManifestIntegrityError, match="contiguous"):
-        load_manifest(write_json(tmp_path / "m.json", payload))
+    path = write_json(tmp_path / "m.json", payload)
+    want = f"{path}: instance ids must be contiguous integers starting at 1, got {got}"
+    with pytest.raises(ManifestIntegrityError, match=f"^{re.escape(want)}$"):
+        load_manifest(path)
 
 
 def test_masklet_errors_name_the_instance(tmp_path):
@@ -214,7 +226,7 @@ def test_kind_guards(tmp_path):
     with pytest.raises(ManifestKindError):
         loaded.require_masklets(str(seq_path))
 
-    tracks = MaskletSet.from_tracks({}, num_frames=1, height=2, width=2)
+    tracks = MaskletSet(tracks=[], num_frames=1, height=2, width=2)
     m_path = tmp_path / "m.json"
     save_manifest(m_path, masklet_manifest("v", tracks))
     loaded_m = load_manifest(m_path)
@@ -331,7 +343,7 @@ def test_video_manifest_makes_sequence_data_a_mask_sequence():
 
 @pytest.mark.parametrize("make", [
     lambda: sequence_manifest(5, "gt", [empty_mask(2, 2)]),
-    lambda: masklet_manifest(None, MaskletSet.from_tracks({}, num_frames=1, height=2, width=2)),
+    lambda: masklet_manifest(None, MaskletSet(tracks=[], num_frames=1, height=2, width=2)),
 ], ids=["sequence", "masklets"])
 def test_video_manifest_rejects_a_non_string_video_id(tmp_path, make):
     with pytest.raises(ValueError, match="video_id"):

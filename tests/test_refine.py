@@ -47,6 +47,14 @@ def test_mask_sequence_validates_uniform_shape():
         MaskSequence(frames=())
 
 
+def test_mask_sequence_numbers_a_ragged_frame_from_one():
+    with pytest.raises(ValueError, match=r"^frame 2 has shape \(2, 3\), expected \(2, 2\) "
+                                         r"from frame 1$"):
+        seq_of(empty_mask(2, 2), empty_mask(2, 3))
+    with pytest.raises(ValueError, match=r"^frame 3 has shape \(1, 2\), expected"):
+        seq_of(empty_mask(2, 2), empty_mask(2, 2), empty_mask(1, 2))
+
+
 def test_mask_sequence_equals():
     a = seq_of(mask_from_rows("#."), mask_from_rows(".#"))
     b = seq_of(mask_from_rows("#."), mask_from_rows(".#"))
@@ -63,50 +71,53 @@ def test_window_spans_rejects_a_window_below_one():
             window_spans(7, bad)
 
 
-def test_masklet_set_requires_contiguous_ids():
-    seq = seq_of(empty_mask(2, 2))
-    with pytest.raises(ValueError):
-        MaskletSet.from_tracks({2: seq})
-    with pytest.raises(ValueError):
-        MaskletSet.from_tracks({1: seq, 3: seq})
-
-
 def test_masklet_set_requires_aligned_tracks():
     with pytest.raises(ValueError):
-        MaskletSet.from_tracks({1: seq_of(empty_mask(2, 2)),
-                                2: seq_of(empty_mask(2, 3))})
+        MaskletSet(tracks=[seq_of(empty_mask(2, 2)), seq_of(empty_mask(2, 3))])
     with pytest.raises(ValueError):
-        MaskletSet.from_tracks({1: seq_of(empty_mask(2, 2)),
-                                2: seq_of(empty_mask(2, 2), empty_mask(2, 2))})
+        MaskletSet(tracks=[seq_of(empty_mask(2, 2)),
+                           seq_of(empty_mask(2, 2), empty_mask(2, 2))])
 
 
 def test_masklet_set_accepts_plain_frame_lists():
     a = [mask_from_rows("#."), mask_from_rows(".#")]
     b = [mask_from_rows(".."), mask_from_rows("##")]
-    for tracks in ([a, b], {1: a, 2: b}):
-        ms = MaskletSet.from_tracks(tracks)
+    for tracks in ([a, b], (a, b)):
+        ms = MaskletSet(tracks=tracks)
+        assert isinstance(ms.tracks, tuple)
         assert (ms.num_instances, ms.num_frames, ms.height, ms.width) == (2, 2, 1, 2)
         assert isinstance(ms.tracks[1], MaskSequence)
         assert np.array_equal(ms.frame(2, 1), b[1])
     with pytest.raises(ValueError):
-        MaskletSet.from_tracks([a, [mask_from_rows("#.")]])
+        MaskletSet(tracks=[a, [mask_from_rows("#.")]])
 
 
 @pytest.mark.parametrize("dims", [{"num_frames": 7}, {"height": 3}, {"width": 1},
                                   {"num_frames": 1, "height": 2, "width": 5}])
 def test_masklet_set_rejects_dims_that_disagree_with_tracks(dims):
     with pytest.raises(ValueError, match="covers 1 frames of 2x2"):
-        MaskletSet.from_tracks([seq_of(empty_mask(2, 2))], **dims)
-    ms = MaskletSet.from_tracks([seq_of(empty_mask(2, 2))], num_frames=1, height=2, width=2)
+        MaskletSet(tracks=[seq_of(empty_mask(2, 2))], **dims)
+    ms = MaskletSet(tracks=[seq_of(empty_mask(2, 2))], num_frames=1, height=2, width=2)
     assert (ms.num_frames, ms.height, ms.width) == (1, 2, 2)
 
 
 def test_empty_masklet_set_needs_explicit_dims():
     with pytest.raises(ValueError):
-        MaskletSet.from_tracks({})
-    ms = MaskletSet.from_tracks({}, num_frames=3, height=2, width=2)
+        MaskletSet(tracks=[])
+    ms = MaskletSet(tracks=[], num_frames=3, height=2, width=2)
     assert ms.num_instances == 0
-    assert ms.instance_ids == ()
+    assert ms.tracks == ()
+
+
+def test_masklet_set_frame_rejects_ids_outside_one_to_n():
+    a = seq_of(mask_from_rows("#."), mask_from_rows(".#"))
+    b = seq_of(mask_from_rows(".."), mask_from_rows("##"))
+    ms = MaskletSet(tracks=[a, b])
+    assert ms.frame(1, 1) is a.frames[1] and ms.frame(2, 0) is b.frames[0]
+    for iid in (0, 3, -1):
+        for t in (0, 1):
+            with pytest.raises(KeyError):
+                ms.frame(iid, t)
 
 
 def test_refine_config_validation():
@@ -152,7 +163,7 @@ def test_gate_threshold_is_strict():
     # instance of 4 px, coarse covers exactly 3 -> fraction 0.75
     inst = mask_from_rows("####")
     coarse = mask_from_rows("###.")
-    tracks = MaskletSet.from_tracks([seq_of(inst)])
+    tracks = MaskletSet(tracks=[seq_of(inst)])
     assert gated(coarse, tracks, 0.75) == ()
     assert gated(coarse, tracks, 0.74) == (1,)
 
@@ -161,7 +172,7 @@ def test_gate_combination_orders_ids_ascending():
     a = mask_from_rows("#...")
     b = mask_from_rows("...#")
     coarse = mask_from_rows("#..#")
-    tracks = MaskletSet.from_tracks([seq_of(a), seq_of(b)])
+    tracks = MaskletSet(tracks=[seq_of(a), seq_of(b)])
     assert gated(coarse, tracks, 0.5) == (1, 2)
 
 
@@ -185,7 +196,7 @@ def test_gate_keeps_well_covered_instance_and_drops_the_other():
     coarse = np.zeros((10, 10), dtype=bool)
     coarse[0, :9] = True
     coarse[5, :1] = True
-    tracks = MaskletSet.from_tracks([seq_of(inst1), seq_of(inst2)])
+    tracks = MaskletSet(tracks=[seq_of(inst1), seq_of(inst2)])
     assert overlap_fraction(inst1, coarse) == 0.9
     assert overlap_fraction(inst2, coarse) == 0.1
     assert gated(coarse, tracks, 0.8) == (1,)
@@ -197,8 +208,7 @@ def test_raising_tau_never_adds_instances_to_a_combination():
         h, w = rng.integers(2, 10, size=2)
         n = int(rng.integers(1, 4))
         coarse = rand_mask(rng, h, w, p=0.6)
-        tracks = MaskletSet.from_tracks(
-            [seq_of(rand_mask(rng, h, w, p=0.4)) for _ in range(n)])
+        tracks = MaskletSet(tracks=[seq_of(rand_mask(rng, h, w, p=0.4)) for _ in range(n)])
         taus = sorted(float(t) for t in rng.uniform(0.0, 1.0, size=2))
         low = gated(coarse, tracks, taus[0])
         high = gated(coarse, tracks, taus[1])
@@ -248,7 +258,7 @@ def test_select_combination_invariants(combos, policy):
 def test_window_with_empty_selection_passes_coarse_through():
     # nothing ever overlaps -> every combination is empty -> coarse untouched
     coarse = seq_of(mask_from_rows("##.."), mask_from_rows(".##."))
-    tracks = MaskletSet.from_tracks([seq_of(mask_from_rows("...#"), mask_from_rows("...#"))])
+    tracks = MaskletSet(tracks=[seq_of(mask_from_rows("...#"), mask_from_rows("...#"))])
     out, record = refine_window(coarse.frames, tracks, RefineConfig(window=2),
                                 fractions=gate(coarse, tracks))
     assert record.selected == ()
@@ -258,7 +268,7 @@ def test_window_with_empty_selection_passes_coarse_through():
 def test_window_rebuilds_frames_from_selected_union():
     a = seq_of(mask_from_rows("#.", ".."), mask_from_rows(".#", ".."))
     b = seq_of(mask_from_rows("..", "#."), mask_from_rows("..", ".#"))
-    tracks = MaskletSet.from_tracks([a, b])
+    tracks = MaskletSet(tracks=[a, b])
     # coarse covers both instances fully in both frames
     coarse = seq_of(np.ones((2, 2), dtype=bool), np.ones((2, 2), dtype=bool))
     out, record = refine_window(coarse.frames, tracks, RefineConfig(window=2, tau=0.5),
@@ -273,7 +283,7 @@ def test_refine_is_a_fixpoint_when_coarse_equals_single_track():
     frames = tuple(rand_mask(rng, 5, 7, p=0.5) for _ in range(6))
     track = seq_of(*frames)
     coarse = seq_of(*frames)
-    refined = refine_video(coarse, MaskletSet.from_tracks([track]),
+    refined = refine_video(coarse, MaskletSet(tracks=[track]),
                            RefineConfig(window=3, tau=0.8))
     assert refined.equals(coarse)
 
@@ -307,13 +317,13 @@ def test_refine_is_a_fixpoint_on_unions_of_disjoint_tracks():
                            tau=float(rng.uniform(0.0, 1.0)),
                            tie_break=str(rng.choice(["earliest", "smallest"])))
         refined = refine_video(seq_of(*coarse_frames),
-                               MaskletSet.from_tracks(tracks), cfg)
+                               MaskletSet(tracks=tracks), cfg)
         assert refined.equals(seq_of(*coarse_frames))
 
 
 def test_refine_video_window_partition():
     coarse = seq_of(*[empty_mask(2, 2) for _ in range(7)])
-    tracks = MaskletSet.from_tracks({}, num_frames=7, height=2, width=2)
+    tracks = MaskletSet(tracks=[], num_frames=7, height=2, width=2)
     refined = refine_video(coarse, tracks, RefineConfig(window=5))
     spans = [(w.start, w.stop) for w in refined.report.windows]
     assert spans == [(0, 5), (5, 7)]
@@ -324,7 +334,7 @@ def test_refine_video_window_partition():
 def test_refine_video_with_no_instances_returns_coarse():
     rng = np.random.default_rng(5)
     coarse = seq_of(*[rand_mask(rng, 3, 4) for _ in range(6)])
-    tracks = MaskletSet.from_tracks({}, num_frames=6, height=3, width=4)
+    tracks = MaskletSet(tracks=[], num_frames=6, height=3, width=4)
     refined = refine_video(coarse, tracks, RefineConfig(window=4))
     assert refined.equals(coarse)
 
@@ -332,7 +342,7 @@ def test_refine_video_with_no_instances_returns_coarse():
 def test_refined_sequence_is_a_mask_sequence():
     rng = np.random.default_rng(9)
     T, h, w = 7, 3, 5
-    tracks = MaskletSet.from_tracks([seq_of(*[rand_mask(rng, h, w) for _ in range(T)])])
+    tracks = MaskletSet(tracks=[seq_of(*[rand_mask(rng, h, w) for _ in range(T)])])
     coarse = seq_of(*[rand_mask(rng, h, w) for _ in range(T)])
     refined = refine_video(coarse, tracks, RefineConfig(window=3, tau=0.3))
     assert isinstance(refined, MaskSequence)
@@ -346,24 +356,24 @@ def test_refined_sequence_is_a_mask_sequence():
 
 def test_refined_sequence_validates_its_frames():
     report = refine_video(seq_of(empty_mask(2, 2)),
-                          MaskletSet.from_tracks({}, num_frames=1, height=2, width=2)).report
+                          MaskletSet(tracks=[], num_frames=1, height=2, width=2)).report
     with pytest.raises(ValueError):
         RefinedSequence(frames=(empty_mask(2, 2), empty_mask(3, 2)), report=report)
 
 
 def test_refine_video_rejects_misaligned_inputs():
     coarse = seq_of(empty_mask(2, 2), empty_mask(2, 2))
-    short = MaskletSet.from_tracks([seq_of(empty_mask(2, 2))])
+    short = MaskletSet(tracks=[seq_of(empty_mask(2, 2))])
     with pytest.raises(AlignmentError):
         refine_video(coarse, short)
-    wrong_dims = MaskletSet.from_tracks([seq_of(empty_mask(3, 2), empty_mask(3, 2))])
+    wrong_dims = MaskletSet(tracks=[seq_of(empty_mask(3, 2), empty_mask(3, 2))])
     with pytest.raises(AlignmentError):
         refine_video(coarse, wrong_dims)
 
 
 def test_refine_video_rejects_bad_worker_count():
     coarse = seq_of(empty_mask(2, 2))
-    tracks = MaskletSet.from_tracks({}, num_frames=1, height=2, width=2)
+    tracks = MaskletSet(tracks=[], num_frames=1, height=2, width=2)
     with pytest.raises(ValueError):
         refine_video(coarse, tracks, workers=0)
 
@@ -371,7 +381,7 @@ def test_refine_video_rejects_bad_worker_count():
 def test_report_records_fractions_per_frame():
     inst = seq_of(mask_from_rows("##.."), mask_from_rows("..##"))
     coarse = seq_of(mask_from_rows("#..."), mask_from_rows("..##"))
-    tracks = MaskletSet.from_tracks([inst])
+    tracks = MaskletSet(tracks=[inst])
     refined = refine_video(coarse, tracks, RefineConfig(window=2, tau=0.8))
     frames = refined.report.windows[0].frames
     assert frames[0].fractions == (0.5,)
@@ -432,7 +442,7 @@ def test_selected_combination_applies_to_every_frame_of_window():
     # instance present in coarse for 2 of 3 frames; majority keeps it everywhere
     inst = seq_of(mask_from_rows("##"), mask_from_rows("##"), mask_from_rows("##"))
     coarse = seq_of(mask_from_rows("##"), mask_from_rows(".."), mask_from_rows("##"))
-    tracks = MaskletSet.from_tracks([inst])
+    tracks = MaskletSet(tracks=[inst])
     refined = refine_video(coarse, tracks, RefineConfig(window=3))
     assert refined.report.windows[0].selected == (1,)
     for frame in refined.frames:
@@ -442,8 +452,8 @@ def test_selected_combination_applies_to_every_frame_of_window():
 def test_workers_do_not_change_output():
     rng = np.random.default_rng(17)
     T, h, w = 23, 6, 7
-    tracks = MaskletSet.from_tracks(
-        [seq_of(*[rand_mask(rng, h, w, p=0.3) for _ in range(T)]) for _ in range(3)])
+    tracks = MaskletSet(
+        tracks=[seq_of(*[rand_mask(rng, h, w, p=0.3) for _ in range(T)]) for _ in range(3)])
     coarse = seq_of(*[rand_mask(rng, h, w, p=0.5) for _ in range(T)])
     cfg = RefineConfig(window=4, tau=0.3)
     one = refine_video(coarse, tracks, cfg, workers=1)
@@ -462,14 +472,15 @@ def test_refine_matches_oracle_spot_checks():
         window = int(rng.integers(1, 14))
         policy = ["earliest", "smallest"][int(rng.integers(0, 2))]
         coarse = seq_of(*[rand_mask(rng, h, w, p=0.5) for _ in range(T)])
-        tracks = MaskletSet.from_tracks(
-            [seq_of(*[rand_mask(rng, h, w, p=0.35) for _ in range(T)]) for _ in range(N)],
+        tracks = MaskletSet(
+            tracks=[seq_of(*[rand_mask(rng, h, w, p=0.35) for _ in range(T)]) for _ in range(N)],
             num_frames=T, height=h, width=w)
         refined = refine_video(coarse, tracks, RefineConfig(window=window, tau=tau,
                                                             tie_break=policy))
         grids, traces = oracles.refine_naive(
             [oracles.to_grid(f) for f in coarse.frames],
-            {i: [oracles.to_grid(f) for f in tracks.tracks[i].frames] for i in tracks.tracks},
+            {i: [oracles.to_grid(f) for f in seq.frames]
+             for i, seq in enumerate(tracks.tracks, start=1)},
             window, tau, policy)
         for got, want in zip(refined.frames, grids):
             assert np.array_equal(got, np.array(want, dtype=bool).reshape(h, w))
@@ -480,31 +491,21 @@ def test_refine_matches_oracle_spot_checks():
 
 
 @pytest.mark.parametrize("tracks, dims", [
-    ({2: seq_of(empty_mask(1, 1))}, dict(num_frames=7, height=1, width=1)),
-    ({1: seq_of(empty_mask(2, 2)), 3: seq_of(empty_mask(2, 2))}, {}),
-    ({1: seq_of(empty_mask(2, 2)), 2: seq_of(empty_mask(2, 3))}, {}),
-    ({1: seq_of(empty_mask(2, 2)), 2: seq_of(empty_mask(2, 2), empty_mask(2, 2))}, {}),
-    ({1: seq_of(empty_mask(2, 2)), "2": seq_of(empty_mask(2, 2))}, {}),
-    ({True: seq_of(empty_mask(2, 2))}, {}),
-    ([seq_of(empty_mask(2, 2))], {}),
-    ({}, {}),
-    ({}, dict(num_frames=0, height=2, width=2)),
-], ids=["id-2-only", "gap", "misaligned-size", "misaligned-length", "mixed-key-types",
-        "bool-key", "list-not-dict", "empty-without-dims", "empty-with-zero-frames"])
+    ([seq_of(empty_mask(2, 2)), seq_of(empty_mask(2, 3))], {}),
+    ([seq_of(empty_mask(2, 2)), seq_of(empty_mask(2, 2), empty_mask(2, 2))], {}),
+    ({1: seq_of(empty_mask(2, 2))}, {}),
+    ([], {}),
+    ([], dict(num_frames=0, height=2, width=2)),
+], ids=["misaligned-size", "misaligned-length", "dict", "empty-without-dims",
+        "empty-with-zero-frames"])
 def test_masklet_set_constructor_rejects_what_it_cannot_hold(tracks, dims):
     with pytest.raises(ValueError):
         MaskletSet(tracks=tracks, **dims)
 
 
-def test_masklet_set_from_tracks_rejects_mixed_key_types():
-    with pytest.raises(ValueError, match="contiguous"):
-        MaskletSet.from_tracks({1: seq_of(empty_mask(2, 2)), "2": seq_of(empty_mask(2, 2))})
-
-
-def test_masklet_set_constructor_takes_dims_from_tracks_in_id_order():
+def test_masklet_set_constructor_takes_dims_from_its_tracks():
     a = [mask_from_rows("#."), mask_from_rows(".#")]
     b = seq_of(mask_from_rows(".."), mask_from_rows("##"))
-    ms = MaskletSet(tracks={2: b, 1: a})
-    assert list(ms.tracks) == [1, 2]
+    ms = MaskletSet(tracks=[a, b])
     assert (ms.num_frames, ms.height, ms.width) == (2, 1, 2)
-    assert isinstance(ms.tracks[1], MaskSequence) and ms.tracks[2] is b
+    assert isinstance(ms.tracks[0], MaskSequence) and ms.tracks[1] is b

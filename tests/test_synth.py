@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,19 @@ def test_disk_matches_full_frame_formula(start, radius):
         disk = _render_track(track, t, h, w)
         assert disk.dtype == np.bool_
         assert np.array_equal(disk, (yy - row) ** 2 + (xx - col) ** 2 <= radius ** 2)
+
+
+def test_disk_render_peak_memory_stays_within_three_masks():
+    h = w = 1024
+    track = ShapeTrack(kind="disk", radius=500, start=(512, 512), velocity=(0, 0))
+    tracemalloc.start()
+    try:
+        disk = _render_track(track, 0, h, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert disk.any()
+    assert peak <= 3 * disk.nbytes
 
 
 def test_same_seed_is_bit_identical():
