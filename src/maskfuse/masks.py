@@ -125,11 +125,12 @@ def erode(mask: Mask, steps: int = 1) -> Mask:
 
 
 def iou(a: Mask, b: Mask) -> float:
-    """Jaccard index of two masks.
+    """Jaccard index of two 2-D masks of the same shape.
 
     Returns 1.0 when both masks are empty: both sources agree there is no
     object, which is the usual convention for absent-object frames.
     """
+    a, b = make_mask(a), make_mask(b)
     inter = intersection_area(a, b)
     union_px = area(a) + area(b) - inter
     if union_px == 0:

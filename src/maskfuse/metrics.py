@@ -13,6 +13,20 @@ array with a shifted copy of itself (shifts 1, 2, 4, ... and then the
 remainder), and the result is cropped back to the image. This equals
 ``t`` iterations of a 3x3 binary dilation with background beyond the
 image, bit for bit.
+
+``boundary_f`` works on the bounding box of ``pred | gt``, widened by one
+pixel and clamped to the image; pixels outside it cannot change the score.
+The crop is exact:
+
+- every foreground pixel lies at least one pixel inside any crop edge that
+  is not an image edge, so the 4-neighbour erosion, and with it both
+  boundaries, are the same as on the full frame;
+- a tolerance zone only has to be right at the other mask's boundary
+  pixels, and every boundary pixel it grows from lies inside the crop;
+- so the counts are the same integers, and precision, recall and F are the
+  same floats.
+
+The default tolerance is derived from the full frame, never from the crop.
 """
 
 from __future__ import annotations
@@ -22,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .masks import Mask, erode, iou, make_mask, require_same_shape
+from .masks import Mask, erode, iou, is_int, make_mask, require_same_shape
 from .refine import MaskSequence, require_aligned
 
 region_j = iou
@@ -48,7 +62,7 @@ def _chebyshev_zone(mask: Mask, radius: int) -> Mask:
     height, width = mask.shape
     # Any radius of at least max(H, W) - 1 reaches the whole image, so
     # clamping bounds the padding without changing the result.
-    radius = min(radius, max(height, width))
+    radius = min(int(radius), max(height, width))
     size = 2 * radius + 1
     zone = np.pad(mask, radius)
     flat = zone.reshape(-1)
@@ -71,20 +85,28 @@ def boundary_f(pred: Mask, gt: Mask, tolerance_px: int | None = None) -> float:
 
     Both boundaries empty -> 1.0; exactly one empty -> 0.0. Otherwise
     precision = fraction of predicted boundary pixels within
-    ``tolerance_px`` (Chebyshev, at least 1) of the ground-truth boundary,
-    recall the converse, and the result is their harmonic mean.
+    ``tolerance_px`` (Chebyshev, an integer of at least 1) of the
+    ground-truth boundary, recall the converse, and the result is their
+    harmonic mean. The default tolerance comes from the frame dimensions
+    (:func:`default_boundary_tolerance`). The work runs on the pair's
+    bounding box; see the module docstring for why the result is the same.
     """
     require_same_shape(pred, gt)
+    pred, gt = make_mask(pred), make_mask(gt)
     if tolerance_px is None:
-        tolerance_px = default_boundary_tolerance(*np.shape(pred))
-    if tolerance_px < 1:
-        raise ValueError(f"tolerance_px must be at least 1, got {tolerance_px}")
-    pred_b = mask_boundary(pred)
-    gt_b = mask_boundary(gt)
+        tolerance_px = default_boundary_tolerance(*pred.shape)
+    if not (is_int(tolerance_px) or isinstance(tolerance_px, np.integer)) or tolerance_px < 1:
+        raise ValueError(f"tolerance_px must be an integer of at least 1, got {tolerance_px!r}")
+    rows = np.flatnonzero(pred.any(axis=1) | gt.any(axis=1))
+    if rows.size == 0:
+        return 1.0
+    cols = np.flatnonzero(pred.any(axis=0) | gt.any(axis=0))
+    box = (slice(max(rows[0] - 1, 0), rows[-1] + 2),
+           slice(max(cols[0] - 1, 0), cols[-1] + 2))
+    pred_b = mask_boundary(pred[box])
+    gt_b = mask_boundary(gt[box])
     n_pred = int(np.count_nonzero(pred_b))
     n_gt = int(np.count_nonzero(gt_b))
-    if n_pred == 0 and n_gt == 0:
-        return 1.0
     if n_pred == 0 or n_gt == 0:
         return 0.0
     pred_zone = _chebyshev_zone(pred_b, tolerance_px)

@@ -125,6 +125,13 @@ def test_iou_conventions():
     assert iou(mask_from_rows("##"), mask_from_rows("#.")) == 0.5
 
 
+def test_iou_rejects_masks_that_are_not_2d():
+    # Two equal 3-D arrays used to score 1.0; iou now validates like boundary_f.
+    for bad in (np.ones((2, 2, 2), dtype=bool), np.ones(3, dtype=bool)):
+        with pytest.raises(ValueError, match="mask must be 2-D"):
+            iou(bad, bad)
+
+
 def test_overlap_goldens_on_four_by_four():
     top_two_rows = empty_mask(4, 4)
     top_two_rows[:2, :] = True

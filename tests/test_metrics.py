@@ -104,6 +104,34 @@ def test_boundary_f_rejects_tolerance_below_one():
         boundary_f(empty_mask(2, 2), empty_mask(2, 2), tolerance_px=0)
 
 
+@pytest.mark.parametrize("tolerance", [2.5, True, float("nan"), "3", 3.0])
+def test_boundary_f_rejects_a_tolerance_that_is_not_an_integer(tolerance):
+    m = mask_from_rows("....", ".##.", "....")
+    with pytest.raises(ValueError, match=f"tolerance_px must be an integer.*got {tolerance!r}"):
+        boundary_f(m, m, tolerance)
+
+
+def test_boundary_f_rejects_masks_that_are_not_2d_before_deriving_a_tolerance():
+    # The default tolerance used to be derived from a 3-D shape first, which
+    # raised a TypeError about default_boundary_tolerance's arguments.
+    cube = np.ones((2, 2, 2), dtype=bool)
+    for tolerance in (None, 2):
+        with pytest.raises(ValueError, match="mask must be 2-D"):
+            boundary_f(cube, cube, tolerance)
+
+
+def test_boundary_f_accepts_numpy_integer_tolerances():
+    a = np.zeros((9, 9), dtype=bool)
+    b = np.zeros((9, 9), dtype=bool)
+    a[2, 1:8] = True
+    b[4, 1:8] = True
+    for tolerance in (np.int64(2), np.int32(2), np.uint8(2)):
+        assert boundary_f(a, b, tolerance) == boundary_f(a, b, 2) == 1.0
+    assert boundary_f(a, b, np.int16(1)) == 0.0
+    with pytest.raises(ValueError, match="at least 1"):
+        boundary_f(a, b, np.int64(0))
+
+
 def test_boundary_f_matches_oracle_exactly():
     rng = np.random.default_rng(37)
     for _ in range(100):
@@ -174,6 +202,133 @@ def test_boundary_f_full_size_frames_match_iterated_dilation(tolerance):
         assert (boundary_f(pred, gt, tolerance_px=tolerance)
                 == dilation_boundary_f(pred, gt, tolerance))
     assert boundary_f(disk, shifted, tolerance_px=tolerance) < 1.0
+
+
+def _place(patch, shape, row, col):
+    """``patch`` drawn into an empty frame of ``shape`` with its corner at (row, col)."""
+    frame = np.zeros(shape, dtype=bool)
+    frame[row:row + patch.shape[0], col:col + patch.shape[1]] = patch
+    return frame
+
+
+def _edge_pair(rng, height, width):
+    """A pred/gt pair whose union has foreground on all four edges of its
+    height x width box, so that the box ``boundary_f`` crops to is exactly
+    wherever the pair is placed."""
+    pred = rand_mask(rng, height, width, p=0.4)
+    gt = rand_mask(rng, height, width, p=0.4)
+    pred[0, rng.integers(width)] = pred[rng.integers(height), 0] = True
+    gt[-1, rng.integers(width)] = gt[rng.integers(height), -1] = True
+    return pred, gt
+
+
+def _placements(frame_h, frame_w, h, w):
+    """Corner positions that put an h x w box against each image edge, one
+    pixel from each edge, and in the middle."""
+    mid_r, mid_c = (frame_h - h) // 2, (frame_w - w) // 2
+    return {
+        "touches-top": (0, mid_c), "touches-bottom": (frame_h - h, mid_c),
+        "touches-left": (mid_r, 0), "touches-right": (mid_r, frame_w - w),
+        "touches-top-left-corner": (0, 0),
+        "touches-bottom-right-corner": (frame_h - h, frame_w - w),
+        "one-from-top": (1, mid_c), "one-from-bottom": (frame_h - h - 1, mid_c),
+        "one-from-left": (mid_r, 1), "one-from-right": (mid_r, frame_w - w - 1),
+        "middle": (mid_r, mid_c),
+    }
+
+
+def _assert_matches_references(pred, gt, tolerance):
+    got = boundary_f(pred, gt, tolerance_px=tolerance)
+    assert got == dilation_boundary_f(pred, gt, tolerance)
+    assert got == oracles.boundary_f_naive(oracles.to_grid(pred), oracles.to_grid(gt), tolerance)
+    return got
+
+
+@pytest.mark.parametrize("frame", [(24, 24), (24, 11), (9, 24)])
+def test_boundary_f_on_a_box_inside_the_frame_matches_full_frame_references(frame):
+    # The pair fills a small box; every crop edge that is not an image edge
+    # is a real crop edge. Tolerances run past the crop's size.
+    rng = np.random.default_rng(sum(frame))
+    for h, w in ((5, 7), (7, 5), (2, 3), (6, 6)):
+        pred, gt = _edge_pair(rng, h, w)
+        for row, col in _placements(*frame, h, w).values():
+            p, g = _place(pred, frame, row, col), _place(gt, frame, row, col)
+            for tolerance in (1, 2, 3, max(h, w) + 2, 30):
+                _assert_matches_references(p, g, tolerance)
+
+
+@pytest.mark.parametrize("frame", [(1, 20), (20, 1), (1, 1), (2, 17)])
+def test_boundary_f_on_thin_frames_matches_full_frame_references(frame):
+    rng = np.random.default_rng(frame[1] * 31 + frame[0])
+    for _ in range(25):
+        pred = rand_mask(rng, *frame, p=rng.choice([0.1, 0.3]))
+        gt = rand_mask(rng, *frame, p=rng.choice([0.1, 0.3]))
+        for tolerance in (1, 2, 5, 25):
+            _assert_matches_references(pred, gt, tolerance)
+    # A short run at each end, one pixel from each end, and in the middle of
+    # a 1xN or Nx1 frame.
+    along = max(frame)
+    if min(frame) > 1 or along < 5:
+        return
+    pred, gt = mask_from_rows("##."), mask_from_rows(".##")
+    if frame[0] > 1:
+        pred, gt = pred.T, gt.T
+    for start in (0, 1, along // 2 - 1, along - 4, along - 3):
+        row, col = (0, start) if frame[0] == 1 else (start, 0)
+        for tolerance in (1, 3):
+            _assert_matches_references(_place(pred, frame, row, col),
+                                       _place(gt, frame, row, col), tolerance)
+
+
+def test_boundary_f_with_one_or_both_masks_empty_in_a_larger_frame():
+    rng = np.random.default_rng(83)
+    pred, _ = _edge_pair(rng, 4, 5)
+    empty = empty_mask(24, 24)
+    for row, col in _placements(24, 24, 4, 5).values():
+        p = _place(pred, (24, 24), row, col)
+        assert _assert_matches_references(p, empty, 2) == 0.0
+        assert _assert_matches_references(empty, p, 2) == 0.0
+    assert _assert_matches_references(empty, empty, 2) == 1.0
+    assert boundary_f(empty_mask(480, 854), empty_mask(480, 854)) == 1.0
+
+
+def test_boundary_f_is_the_same_wherever_the_pair_sits():
+    # The pair scored alone (the crop is the whole image) and at several
+    # offsets in a larger empty canvas, against an edge or well inside it.
+    pred = mask_from_rows(
+        "..###..",
+        ".#####.",
+        "#######",
+        ".#####.",
+        "...#...",
+    )
+    gt = mask_from_rows(
+        ".......",
+        "....###",
+        "...####",
+        "..#####",
+        ".######",
+    )
+    tolerance = 1
+    alone = boundary_f(pred, gt, tolerance_px=tolerance)
+    assert 0.0 < alone < 1.0
+    canvas = (40, 60)
+    for row, col in [(0, 0), (1, 1), (0, 53), (35, 0), (35, 53), (34, 52), (17, 26), (3, 40)]:
+        p, g = _place(pred, canvas, row, col), _place(gt, canvas, row, col)
+        assert boundary_f(p, g, tolerance_px=tolerance) == alone
+        assert dilation_boundary_f(p, g, tolerance) == alone
+
+
+def test_boundary_f_derives_its_default_tolerance_from_the_full_frame():
+    # Two 10x10 squares 3 pixels apart: a 15x15 crop of a 480x854 frame. The
+    # frame gives a tolerance of 8, which matches every boundary pixel; the
+    # crop alone would give 1, which does not.
+    gt = _place(np.ones((10, 10), dtype=bool), (480, 854), 200, 400)
+    pred = _place(np.ones((10, 10), dtype=bool), (480, 854), 203, 403)
+    assert default_boundary_tolerance(480, 854) == 8
+    assert boundary_f(pred, gt) == boundary_f(pred, gt, 8) == 1.0
+    crop_tolerance = default_boundary_tolerance(15, 15)
+    assert boundary_f(pred, gt, crop_tolerance) < 1.0
 
 
 def test_eval_result_means():
