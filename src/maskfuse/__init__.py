@@ -46,7 +46,6 @@ from .metrics import (
     boundary_f,
     default_boundary_tolerance,
     evaluate_sequence,
-    mask_boundary,
     region_j,
 )
 from .overlay import export_overlay
@@ -60,10 +59,7 @@ from .refine import (
     RefinedSequence,
     RefineReport,
     WindowRecord,
-    overlap_fraction,
     refine_video,
-    refine_window,
-    select_combination,
 )
 from .synth import (
     CorruptionSpec,
@@ -120,18 +116,14 @@ __all__ = [
     "iou",
     "load_manifest",
     "make_mask",
-    "mask_boundary",
     "masklet_manifest",
-    "overlap_fraction",
     "refine_video",
-    "refine_window",
     "region_j",
     "rle_decode",
     "rle_encode",
     "save_manifest",
     "scenario_from_dict",
     "scenario_to_dict",
-    "select_combination",
     "sequence_manifest",
     "union",
     "__version__",

@@ -85,6 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_refine(args) -> int:
+    if args.report is not None and os.path.realpath(args.report) == os.path.realpath(args.out):
+        raise ValueError(f"--report and --out name the same file: {args.out}")
     coarse_manifest = load_manifest(args.coarse)
     coarse = coarse_manifest.require_sequence(args.coarse)
     tracked = load_manifest(args.tracked).require_masklets(args.tracked)

@@ -39,7 +39,7 @@ from .errors import (
     ManifestSchemaError,
     RleFormatError,
 )
-from .masks import Mask, RleMask, is_int, require_mask_budget, rle_decode, rle_encode
+from .masks import Mask, RleMask, require_int, require_mask_budget, rle_decode, rle_encode
 from .refine import MaskletSet, MaskSequence
 
 KINDS = ("coarse", "masklets", "refined", "gt")
@@ -165,13 +165,6 @@ def _require_key(obj: dict, key: str, path) -> object:
     return obj[key]
 
 
-def _require_positive_int(obj: dict, key: str, path) -> int:
-    value = _require_key(obj, key, path)
-    if not is_int(value) or value < 1:
-        raise ManifestSchemaError(f"{path}: {key!r} must be a positive integer, got {value!r}")
-    return value
-
-
 def read_json(path, error: type[Exception], duplicate_error: type[Exception]):
     """The JSON value in the file at ``path``. A file that cannot be read or
     decoded (not UTF-8, nested too deeply, an integer too long) raises ``error``,
@@ -237,9 +230,9 @@ def load_manifest(path) -> VideoManifest:
     kind = _require_key(obj, "kind", path)
     if kind not in KINDS:
         raise ManifestSchemaError(f"{path}: 'kind' must be one of {KINDS}, got {kind!r}")
-    height = _require_positive_int(obj, "height", path)
-    width = _require_positive_int(obj, "width", path)
-    num_frames = _require_positive_int(obj, "num_frames", path)
+    height, width, num_frames = (
+        require_int(_require_key(obj, key, path), f"{path}: {key!r}", 1, ManifestSchemaError)
+        for key in ("height", "width", "num_frames"))
 
     if kind != "masklets":
         entries = _require_key(obj, "frames", path)

@@ -44,8 +44,16 @@ def require_mask_budget(sequences: int, frames: int, height: int, width: int,
 
 
 def is_int(value) -> bool:
-    """True for an ``int`` that is not a ``bool``: the integer fields of parsed JSON."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """True for an ``int`` or numpy integer that is not a ``bool``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def require_int(value, name: str, minimum: int, error: type[Exception] = ValueError) -> int:
+    """``value`` as a plain ``int``; raise ``error`` unless it is an integer
+    (:func:`is_int`) of at least ``minimum``."""
+    if not is_int(value) or value < minimum:
+        raise error(f"{name} must be an integer of at least {minimum}, got {value!r}")
+    return int(value)
 
 
 def make_mask(pixels) -> Mask:
@@ -96,13 +104,14 @@ def union(masks) -> Mask:
 
 
 def erode(mask: Mask, steps: int = 1) -> Mask:
-    """Erode ``steps`` times by the 4-neighbour cross.
+    """Erode ``steps`` times (an integer of at least 0) by the 4-neighbour cross.
 
     Each step keeps the foreground pixels whose four neighbours are all
     foreground, with everything beyond the image counting as background, so
     the image border is peeled too. This equals ``steps`` iterations of a
     cross-shaped binary erosion with background beyond the image, bit for bit.
     """
+    steps = require_int(steps, "steps", 0)
     m = make_mask(mask)
     height, width = m.shape
     # No pixel is farther than (min(H, W) + 1) // 2 steps from the background
@@ -148,13 +157,8 @@ class RleMask:
 
     def __post_init__(self) -> None:
         for name in ("height", "width"):
-            value = getattr(self, name)
-            if not is_int(value):
-                raise RleFormatError(f"RLE {name} must be an integer, got {value!r}")
-        if self.height < 1 or self.width < 1:
-            raise RleFormatError(
-                f"RLE dimensions must be at least 1x1, got {self.height}x{self.width}"
-            )
+            value = require_int(getattr(self, name), f"RLE {name}", 1, RleFormatError)
+            object.__setattr__(self, name, value)
         counts = tuple(self.counts)
         if not counts:
             raise RleFormatError("RLE counts must not be empty")
@@ -164,7 +168,7 @@ class RleMask:
         if not (set(map(type, counts)) <= {int} and min(counts) >= 0
                 and 0 not in counts[1:]):
             for pos, count in enumerate(counts):
-                if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                if not is_int(count):
                     raise RleFormatError(f"RLE count at position {pos} is not an integer: {count!r}")
                 if count < 0:
                     raise RleFormatError(f"RLE count at position {pos} is negative: {count}")

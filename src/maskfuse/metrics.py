@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .masks import Mask, erode, iou, is_int, make_mask, require_same_shape
+from .masks import Mask, erode, iou, make_mask, require_int, require_same_shape
 from .refine import MaskSequence, require_aligned
 
 region_j = iou
@@ -62,7 +62,7 @@ def _chebyshev_zone(mask: Mask, radius: int) -> Mask:
     height, width = mask.shape
     # Any radius of at least max(H, W) - 1 reaches the whole image, so
     # clamping bounds the padding without changing the result.
-    radius = min(int(radius), max(height, width))
+    radius = min(radius, max(height, width))
     size = 2 * radius + 1
     zone = np.pad(mask, radius)
     flat = zone.reshape(-1)
@@ -95,8 +95,7 @@ def boundary_f(pred: Mask, gt: Mask, tolerance_px: int | None = None) -> float:
     pred, gt = make_mask(pred), make_mask(gt)
     if tolerance_px is None:
         tolerance_px = default_boundary_tolerance(*pred.shape)
-    if not (is_int(tolerance_px) or isinstance(tolerance_px, np.integer)) or tolerance_px < 1:
-        raise ValueError(f"tolerance_px must be an integer of at least 1, got {tolerance_px!r}")
+    tolerance_px = require_int(tolerance_px, "tolerance_px", 1)
     rows = np.flatnonzero(pred.any(axis=1) | gt.any(axis=1))
     if rows.size == 0:
         return 1.0

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import AlignmentError
-from .masks import Mask, area, intersection_area, is_int, make_mask, union
+from .masks import Mask, area, intersection_area, is_int, make_mask, require_int, union
 
 # Supported policies for breaking ties between equally frequent combinations.
 TIE_BREAK_POLICIES = ("earliest", "smallest")
@@ -107,19 +107,17 @@ class MaskletSet:
                        for seq in self.tracks)
         object.__setattr__(self, "tracks", tracks)
         declared = (self.num_frames, self.height, self.width)
-        if not tracks:
-            if not all(is_int(d) and d >= 1 for d in declared):
-                raise ValueError("an empty masklet set needs explicit num_frames, height and "
-                                 f"width of at least 1, got {declared}")
-            return
-        dims = (tracks[0].num_frames, tracks[0].height, tracks[0].width)
+        if not tracks and not all(is_int(d) and d >= 1 for d in declared):
+            raise ValueError("an empty masklet set needs explicit num_frames, height and "
+                             f"width of at least 1, got {declared}")
+        dims = (tracks[0].num_frames, tracks[0].height, tracks[0].width) if tracks else declared
         want = tuple(t if d is None else d for d, t in zip(declared, dims))
         for iid, seq in enumerate(tracks, start=1):
             if (seq.num_frames, seq.height, seq.width) != want:
                 raise ValueError(f"masklet {iid} covers {seq.num_frames} frames of {seq.height}x"
                                  f"{seq.width}, expected {want[0]} frames of {want[1]}x{want[2]}")
         for name, value in zip(("num_frames", "height", "width"), dims):
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, int(value))
 
     @property
     def num_instances(self) -> int:
@@ -146,8 +144,7 @@ def require_aligned(a, b, a_name: str, b_name: str) -> None:
 def window_spans(num_frames: int, window: int) -> list[tuple[int, int]]:
     """Half-open (start, stop) spans of consecutive ``window``-frame voting
     windows over ``num_frames`` frames; the last one may be shorter."""
-    if window < 1:
-        raise ValueError(f"window must be at least 1, got {window}")
+    window = require_int(window, "window", 1)
     return [(s, min(s + window, num_frames)) for s in range(0, num_frames, window)]
 
 
@@ -168,14 +165,10 @@ class RefineConfig:
 
     def __post_init__(self) -> None:
         # numpy scalars are stored as Python numbers, so a report serialises as JSON.
-        if isinstance(self.window, bool) or not isinstance(self.window, numbers.Integral):
-            raise ValueError(f"window must be an integer, got {self.window!r}")
+        object.__setattr__(self, "window", require_int(self.window, "window", 1))
         if isinstance(self.tau, bool) or not isinstance(self.tau, numbers.Real):
             raise ValueError(f"tau must be a number, got {self.tau!r}")
-        object.__setattr__(self, "window", int(self.window))
         object.__setattr__(self, "tau", float(self.tau))
-        if self.window < 1:
-            raise ValueError(f"window must be at least 1, got {self.window}")
         if not 0.0 <= self.tau < 1.0:
             raise ValueError(f"tau must satisfy 0 <= tau < 1, got {self.tau}")
         if self.tie_break not in TIE_BREAK_POLICIES:
@@ -332,15 +325,15 @@ def refine_video(coarse: MaskSequence, tracked: MaskletSet,
     ``cfg.window`` frames (the last window may be shorter) and each window
     is refined independently, in order, on the calling thread. ``fractions``
     is the :func:`gate` table of these inputs; it is computed when not given.
-    ``workers`` must be at least 1 and is otherwise ignored: a thread pool over
-    windows measured slower than one thread, since the per-frame numpy calls
-    are too short for threads to do much besides contending for the GIL.
+    ``workers`` must be an integer of at least 1 and is otherwise ignored: a
+    thread pool over windows measured slower than one thread, since the
+    per-frame numpy calls are too short for threads to do much besides
+    contending for the GIL.
     """
     if cfg is None:
         cfg = RefineConfig()
     require_aligned(coarse, tracked, "coarse sequence", "masklets")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    require_int(workers, "workers", 1)
     if fractions is None:
         fractions = gate(coarse, tracked)
     elif len(fractions) != coarse.num_frames:

@@ -27,17 +27,17 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ScenarioError
-from .masks import Mask, empty_mask, erode, is_int, require_mask_budget, union
+from .masks import Mask, empty_mask, erode, is_int, require_int, require_mask_budget, union
 from .refine import MaskletSet, MaskSequence, window_spans
 
 SHAPE_KINDS = ("rect", "disk")
 
 
 def _int_pair(value, what: str) -> tuple[int, int]:
-    """``value`` (a tuple or list of two ints) as a tuple, else a ScenarioError."""
+    """``value`` (a tuple or list of two integers) as a pair of ints, else a ScenarioError."""
     if not isinstance(value, (tuple, list)) or len(value) != 2 or not all(map(is_int, value)):
         raise ScenarioError(f"{what} must be an integer pair, got {value!r}")
-    return tuple(value)
+    return tuple(map(int, value))
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,8 @@ class ShapeTrack:
         else:
             if self.size is not None:
                 raise ScenarioError(f"a disk takes 'radius', not 'size' (got {self.size!r})")
-            if not is_int(self.radius) or self.radius < 0:
-                raise ScenarioError(
-                    f"disk radius must be a non-negative integer, got {self.radius!r}")
+            object.__setattr__(self, "radius",
+                               require_int(self.radius, "disk radius", 0, ScenarioError))
 
     @property
     def extent(self) -> tuple[int, int]:
@@ -106,9 +105,8 @@ class CorruptionSpec:
             p = getattr(self, name)
             if not isinstance(p, (int, float)) or isinstance(p, bool) or not 0.0 <= p <= 1.0:
                 raise ScenarioError(f"{name} must be a probability in [0, 1], got {p!r}")
-        k = self.boundary_erosion_px
-        if not is_int(k) or k < 0:
-            raise ScenarioError(f"boundary_erosion_px must be a non-negative integer, got {k!r}")
+        object.__setattr__(self, "boundary_erosion_px", require_int(
+            self.boundary_erosion_px, "boundary_erosion_px", 0, ScenarioError))
         for name in ("forced_drops", "forced_adds"):
             events = getattr(self, name)
             if not isinstance(events, (tuple, list)):
@@ -132,9 +130,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         for name in ("frames", "height", "width"):
-            value = getattr(self, name)
-            if not is_int(value) or value < 1:
-                raise ScenarioError(f"{name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, require_int(getattr(self, name), name, 1, ScenarioError))
         if not isinstance(self.instances, (tuple, list)):
             raise ScenarioError(f"instances must be a list of ShapeTrack, got {self.instances!r}")
         instances = tuple(self.instances)
@@ -158,7 +154,7 @@ class Scenario:
         for iid in self.target:
             if not (is_int(iid) and 1 <= iid <= n):
                 raise ScenarioError(f"target id {iid!r} is not an instance id in 1..{n}")
-        target = tuple(sorted(set(self.target)))
+        target = tuple(sorted(set(map(int, self.target))))
         object.__setattr__(self, "target", target)
         if not target:
             raise ScenarioError("target must name at least one instance")
@@ -172,8 +168,7 @@ class Scenario:
                     raise ScenarioError(f"forced {verb} frame {frame + 1} outside 1..{self.frames}")
                 if iid not in allowed:
                     raise ScenarioError(f"forced {verb} instance {iid} is not {role} instance")
-        if not is_int(self.seed) or self.seed < 0:
-            raise ScenarioError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", require_int(self.seed, "seed", 0, ScenarioError))
         if not isinstance(self.video_id, str):
             raise ScenarioError(f"video_id must be a string, got {self.video_id!r}")
 
@@ -309,6 +304,7 @@ def corruption_report(result: SynthResult, window: int) -> dict:
     (``strict_minority`` false): there the most-frequent-combination vote
     can lock onto a corrupted combination. Frames are 1-based here.
     """
+    window = require_int(window, "window", 1)
     return {
         "video_id": result.scenario.video_id,
         "seed": result.scenario.seed,

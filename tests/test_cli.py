@@ -14,6 +14,7 @@ import maskfuse.manifest
 import maskfuse.synth
 from conftest import fallback_scenario, flicker_scenario, rand_mask
 from maskfuse import (
+    CorruptionSpec,
     MaskletSet,
     MaskSequence,
     RefineConfig,
@@ -448,6 +449,20 @@ def test_failed_refine_writes_no_output(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("report", ["refined.json", "./refined.json"])
+def test_refine_rejects_a_report_path_that_is_the_out_path(tmp_path, capsys, monkeypatch,
+                                                           report):
+    # The report used to overwrite the refined manifest, and the run exited 0.
+    paths, _ = write_fig2_tree(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["refine", "--coarse", paths["coarse"], "--tracked", paths["masklets"],
+                 "--out", "refined.json", "--report", report]) == 1
+    err = one_line_error(capsys)
+    assert err["type"] == "ValueError" and "same file" in err["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["coarse.json", "gt.json",
+                                                          "masklets.json"]
+
+
 def test_cli_requires_a_subcommand():
     with pytest.raises(SystemExit):
         main([])
@@ -580,7 +595,7 @@ def test_failed_json_out_rename_is_one_error_and_leaves_no_temporary_file(tmp_pa
 
 # --- golden outputs ---------------------------------------------------------------
 
-# sha256 of every file the CLI writes for fig2 and of the score tables it
+# sha256 of every file the CLI writes for a scene and of the score tables it
 # prints. Any change to these bytes is a change of behaviour, not a refactor.
 FIG2_GOLDEN = {
     "ablate stdout": "5cc2e5f1c1187035156950ce67c6d6606135e290457ad0977b9e9bf2359fcfe7",
@@ -595,10 +610,38 @@ FIG2_GOLDEN = {
     "report.json": "f0758b4405670d45e4133c350b624e860e3ea7d2af3d86478703a1218c1cd57b",
 }
 
+# A scene fig2 leaves out: eroded coarse frames, sampled drops and spurious
+# additions, and both targets dropped in frames 6-10, so that with --window 5
+# the second window falls back to its coarse frames.
+FALLBACK_SCENE = Scenario(
+    frames=15, height=48, width=80,
+    instances=(ShapeTrack(kind="rect", size=(20, 24), start=(2, 2), velocity=(1, 2)),
+               ShapeTrack(kind="disk", radius=9, start=(36, 66), velocity=(0, -2)),
+               ShapeTrack(kind="rect", size=(18, 24), start=(28, 4), velocity=(-1, 1))),
+    target=(1, 2),
+    corruption=CorruptionSpec(flicker_drop_prob=0.1, spurious_add_prob=0.2,
+                              boundary_erosion_px=1,
+                              forced_drops=tuple((t, i) for t in range(5, 10) for i in (1, 2))),
+    seed=7, video_id="fallback")
+FALLBACK_GOLDEN = {
+    "ablate stdout": "058b77afdc6edaec4f5d1d70cd50b7f1882af3ff230246ef3f53a22cd19131cd",
+    "ablate.json": "17eb9737c9928b3946c3a76b952d2991060916d64504541def08bbbd68755642",
+    "coarse.json": "9c1381790f291cedf69a7ac9411e2cb3426d8f17c42f4a83be6253832b82d65d",
+    "corruption.json": "8a3ab50ccfd74a49b0c8ff86d3c7cfc918907f5d77f0ecc263a86db9efb95e18",
+    "eval stdout": "4de7ec709eb0d964516e268bfe1b879e3083744c7ee301944753d178fa9974f6",
+    "eval.json": "dcc9680e351f03dce97b7506d6a8419b55125cc5cd97680d32b93bbf20cf3bea",
+    "gt.json": "d3a52c106b4fe3b6d0ea45cc64084e625bf308951be81117676933214475c08a",
+    "masklets.json": "3e48b4a7079b86e43cb4f23a91c7f5c56c4fbc3f69fbe48526fe5f5bccfe9d36",
+    "refined.json": "30d93984eefb381a68160121fdd3f443191fa474b9d94c308626f093b2cfa1d5",
+    "report.json": "6bd2d8781665d7d2149a62dd9e121d90afd07212bf6a0812da9e470f31716068",
+}
 
-def test_fig2_outputs_match_golden_digests(tmp_path, capsys):
+
+def check_golden_digests(tmp_path, capsys, scenario, golden) -> dict:
+    """Run synth, refine --window 5, eval and ablate on ``scenario``, compare the
+    sha256 of every output with ``golden``, and return the refine report."""
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(scenario_to_dict(fig2_scenario())))
+    spec.write_text(json.dumps(scenario_to_dict(scenario)))
     d = tmp_path / "out"
     runs = {
         "synth": ["synth", "--spec", str(spec), "--out-dir", str(d)],
@@ -619,5 +662,15 @@ def test_fig2_outputs_match_golden_digests(tmp_path, capsys):
             digests[f"{name} stdout"] = out.encode()
     digests.update((p.name, p.read_bytes()) for p in d.iterdir())
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in digests.items()}
-    for name in sorted(digests.keys() | FIG2_GOLDEN.keys()):
-        assert digests.get(name) == FIG2_GOLDEN.get(name), f"{name} differs from the golden output"
+    for name in sorted(digests.keys() | golden.keys()):
+        assert digests.get(name) == golden.get(name), f"{name} differs from the golden output"
+    return json.loads((d / "report.json").read_text())
+
+
+def test_fig2_outputs_match_golden_digests(tmp_path, capsys):
+    check_golden_digests(tmp_path, capsys, fig2_scenario(), FIG2_GOLDEN)
+
+
+def test_fallback_scene_outputs_match_golden_digests(tmp_path, capsys):
+    report = check_golden_digests(tmp_path, capsys, FALLBACK_SCENE, FALLBACK_GOLDEN)
+    assert [w["selected"] for w in report["windows"]] == [[1, 2], [], [1, 2]]

@@ -378,11 +378,11 @@ def test_both_kinds_read_frame_lists_alike(tmp_path, payload, error, message):
     (coarse_payload([empty_mask(2, 2)], 2, 2, video_id=["v"]),
      "'video_id' must be a string, got ['v']"),
     (coarse_payload([empty_mask(2, 2)], 2, 2) | {"height": "2"},
-     "'height' must be a positive integer, got '2'"),
+     "'height' must be an integer of at least 1, got '2'"),
     (coarse_payload([empty_mask(2, 2)], 2, 2) | {"width": 0},
-     "'width' must be a positive integer, got 0"),
+     "'width' must be an integer of at least 1, got 0"),
     (coarse_payload([empty_mask(2, 2)], 2, 2) | {"num_frames": 0},
-     "'num_frames' must be a positive integer, got 0"),
+     "'num_frames' must be an integer of at least 1, got 0"),
     (masklet_payload([]), "'instances' must be an object"),
 ], ids=["top-level-not-an-object", "video-id-not-a-string", "height-a-string", "width-zero",
         "num-frames-zero", "instances-a-list"])

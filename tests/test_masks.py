@@ -304,12 +304,12 @@ def test_rle_from_json_rejects_malformed_objects():
 
 
 @pytest.mark.parametrize("height, width, counts, message", [
-    (2.0, 2, (4,), "RLE height must be an integer, got 2.0"),
-    ("2", 2, (4,), "RLE height must be an integer, got '2'"),
-    (True, 4, (4,), "RLE height must be an integer, got True"),
-    (2, 2.0, (4,), "RLE width must be an integer, got 2.0"),
-    (4, False, (0,), "RLE width must be an integer, got False"),
-])
+    (2.0, 2, (4,), "RLE height must be an integer of at least 1, got 2.0"),
+    ("2", 2, (4,), "RLE height must be an integer of at least 1, got '2'"),
+    (True, 4, (4,), "RLE height must be an integer of at least 1, got True"),
+    (2, 2.0, (4,), "RLE width must be an integer of at least 1, got 2.0"),
+    (4, False, (0,), "RLE width must be an integer of at least 1, got False"),
+], ids=["height-float", "height-str", "height-bool", "width-float", "width-bool"])
 def test_rle_dimensions_must_be_integers(height, width, counts, message):
     with pytest.raises(RleFormatError) as info:
         RleMask(height=height, width=width, counts=counts)

@@ -15,10 +15,9 @@ from maskfuse import (
     empty_mask,
     evaluate_sequence,
     iou,
-    mask_boundary,
     region_j,
 )
-from maskfuse.metrics import _chebyshev_zone
+from maskfuse.metrics import _chebyshev_zone, mask_boundary
 
 
 def dilation_zone(mask, tolerance):

@@ -14,13 +14,16 @@ from maskfuse import (
     empty_mask,
     fig2_scenario,
     generate,
-    overlap_fraction,
     refine_video,
-    refine_window,
-    select_combination,
     union,
 )
-from maskfuse.refine import gate, window_spans
+from maskfuse.refine import (
+    gate,
+    overlap_fraction,
+    refine_window,
+    select_combination,
+    window_spans,
+)
 
 
 def seq_of(*frames) -> MaskSequence:
@@ -67,7 +70,7 @@ def test_mask_sequence_equals():
 def test_window_spans_rejects_a_window_below_one():
     assert window_spans(7, 5) == [(0, 5), (5, 7)]
     for bad in (0, -1):
-        with pytest.raises(ValueError, match="window must be at least 1"):
+        with pytest.raises(ValueError, match="^window must be an integer of at least 1, got"):
             window_spans(7, bad)
 
 
