@@ -8,9 +8,9 @@ Subcommands:
 * ``ablate``  — evaluate the baseline plus one refinement run per window size.
 * ``overlay`` — export a sequence manifest as per-frame PGM images.
 
-Every failure exits nonzero after printing a one-line JSON error object
-(``{"error": {"type": ..., "message": ...}}``) to stderr; output files are
-written atomically, so a failed run never leaves partial manifests behind.
+Every failure, a usage error included, exits 1 after printing a one-line JSON
+error object (``{"error": {"type": ..., "message": ...}}``) to stderr; output
+files are written atomically, so a failed run never leaves partial manifests behind.
 """
 
 from __future__ import annotations
@@ -38,8 +38,21 @@ from .synth import corruption_report, generate, scenario_from_dict
 MAX_ERROR_CHARS = 1000
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error takes main's JSON error path, not exit 2
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def _json(text: str):
+    """A number option read as JSON, the grammar of manifests; RefineConfig checks it."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError):  # RecursionError: nested too deeply
+        raise argparse.ArgumentTypeError(f"not JSON: {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="maskfuse",
         description="Temporal consistency refinement for video segmentation masks.",
     )
@@ -49,9 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_refine.add_argument("--coarse", required=True, help="coarse sequence manifest (JSON)")
     p_refine.add_argument("--tracked", required=True, help="masklet manifest (JSON)")
     p_refine.add_argument("--out", required=True, help="where to write the refined manifest")
-    p_refine.add_argument("--window", type=int, default=DEFAULT_WINDOW,
+    p_refine.add_argument("--window", type=_json, default=DEFAULT_WINDOW,
                           help=f"frames per voting window (default {DEFAULT_WINDOW})")
-    p_refine.add_argument("--tau", type=float, default=DEFAULT_TAU,
+    p_refine.add_argument("--tau", type=_json, default=DEFAULT_TAU,
                           help=f"overlap-fraction threshold (default {DEFAULT_TAU})")
     p_refine.add_argument("--report", default=None,
                           help="optional path for the refinement trace JSON")
@@ -72,6 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ablate.add_argument("--tracked", required=True, help="masklet manifest")
     p_ablate.add_argument("--gt", required=True, help="ground-truth sequence manifest")
     p_ablate.add_argument("--windows", required=True,
+                          type=lambda text: [_json(item) for item in text.split(",")],
                           help="comma-separated window sizes, e.g. 5,10,15,20")
     p_ablate.add_argument("--json-out", default=None,
                           help="optional path for the table as JSON")
@@ -87,10 +101,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_refine(args) -> int:
     if args.report is not None and os.path.realpath(args.report) == os.path.realpath(args.out):
         raise ValueError(f"--report and --out name the same file: {args.out}")
+    cfg = RefineConfig(window=args.window, tau=args.tau)
     coarse_manifest = load_manifest(args.coarse)
     coarse = coarse_manifest.require_sequence(args.coarse)
     tracked = load_manifest(args.tracked).require_masklets(args.tracked)
-    cfg = RefineConfig(window=args.window, tau=args.tau)
     refined = refine_video(coarse, tracked, cfg)
     save_manifest(args.out, sequence_manifest(coarse_manifest.video_id, "refined", refined))
     if args.report is not None:
@@ -130,18 +144,8 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _parse_windows(text: str) -> list[int]:
-    try:
-        windows = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ValueError(f"--windows must be comma-separated integers, got {text!r}") from None
-    if not windows:
-        raise ValueError("--windows must name at least one window size")
-    return windows
-
-
 def _cmd_ablate(args) -> int:
-    configs = [RefineConfig(window=w) for w in _parse_windows(args.windows)]
+    configs = [RefineConfig(window=w) for w in args.windows]
     coarse = load_manifest(args.coarse).require_sequence(args.coarse)
     tracked = load_manifest(args.tracked).require_masklets(args.tracked)
     gt = load_manifest(args.gt).require_sequence(args.gt)
@@ -197,8 +201,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (MaskFuseError, ValueError, OSError) as exc:
         message = str(exc)

@@ -14,6 +14,9 @@ Run-length layout (the interchange form):
 
 from __future__ import annotations
 
+import contextlib
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +57,14 @@ def require_int(value, name: str, minimum: int, error: type[Exception] = ValueEr
     if not is_int(value) or value < minimum:
         raise error(f"{name} must be an integer of at least {minimum}, got {value!r}")
     return int(value)
+
+
+def require_real(value, name: str, error: type[Exception] = ValueError) -> float:
+    """``value`` as a plain ``float``; raise ``error`` unless it is a finite real, not a bool."""
+    with contextlib.suppress(OverflowError):  # an int or fraction beyond the float range
+        if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    raise error(f"{name} must be a finite real number, got {value!r}")
 
 
 def make_mask(pixels) -> Mask:

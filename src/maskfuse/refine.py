@@ -17,14 +17,14 @@ Frame indices are 0-based throughout the Python API; instance ids are
 
 from __future__ import annotations
 
-import numbers
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import AlignmentError
-from .masks import Mask, area, intersection_area, is_int, make_mask, require_int, union
+from .masks import (Mask, area, intersection_area, is_int, make_mask, require_int, require_real,
+                    union)
 
 # Supported policies for breaking ties between equally frequent combinations.
 TIE_BREAK_POLICIES = ("earliest", "smallest")
@@ -90,9 +90,9 @@ class MaskletSet:
     of masks, which become ones); instance ``i`` (1-based) is ``tracks[i - 1]``
     and is stored as a tuple. Every track must cover the same frames of the
     same size; the constructor checks this and takes the dimensions from the
-    tracks. Explicit dimensions must agree with the tracks. ``N = 0`` (no
-    tracked instances) is allowed with explicit dimensions, and makes the
-    refiner fall back to the coarse input everywhere.
+    tracks. Explicit dimensions must be integers of at least 1 that agree with
+    the tracks. ``N = 0`` (no tracked instances) is allowed with explicit
+    dimensions, and makes the refiner fall back to the coarse input everywhere.
     """
 
     tracks: tuple[MaskSequence, ...]
@@ -111,13 +111,13 @@ class MaskletSet:
             raise ValueError("an empty masklet set needs explicit num_frames, height and "
                              f"width of at least 1, got {declared}")
         dims = (tracks[0].num_frames, tracks[0].height, tracks[0].width) if tracks else declared
-        want = tuple(t if d is None else d for d, t in zip(declared, dims))
+        for name, d, t in zip(("num_frames", "height", "width"), declared, dims):
+            object.__setattr__(self, name, t if d is None else require_int(d, name, 1))
+        want = (self.num_frames, self.height, self.width)
         for iid, seq in enumerate(tracks, start=1):
             if (seq.num_frames, seq.height, seq.width) != want:
                 raise ValueError(f"masklet {iid} covers {seq.num_frames} frames of {seq.height}x"
                                  f"{seq.width}, expected {want[0]} frames of {want[1]}x{want[2]}")
-        for name, value in zip(("num_frames", "height", "width"), dims):
-            object.__setattr__(self, name, int(value))
 
     @property
     def num_instances(self) -> int:
@@ -166,9 +166,7 @@ class RefineConfig:
     def __post_init__(self) -> None:
         # numpy scalars are stored as Python numbers, so a report serialises as JSON.
         object.__setattr__(self, "window", require_int(self.window, "window", 1))
-        if isinstance(self.tau, bool) or not isinstance(self.tau, numbers.Real):
-            raise ValueError(f"tau must be a number, got {self.tau!r}")
-        object.__setattr__(self, "tau", float(self.tau))
+        object.__setattr__(self, "tau", require_real(self.tau, "tau"))
         if not 0.0 <= self.tau < 1.0:
             raise ValueError(f"tau must satisfy 0 <= tau < 1, got {self.tau}")
         if self.tie_break not in TIE_BREAK_POLICIES:

@@ -27,7 +27,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ScenarioError
-from .masks import Mask, empty_mask, erode, is_int, require_int, require_mask_budget, union
+from .masks import (Mask, empty_mask, erode, is_int, require_int, require_mask_budget,
+                    require_real, union)
 from .refine import MaskletSet, MaskSequence, window_spans
 
 SHAPE_KINDS = ("rect", "disk")
@@ -103,7 +104,8 @@ class CorruptionSpec:
     def __post_init__(self) -> None:
         for name in ("flicker_drop_prob", "spurious_add_prob"):
             p = getattr(self, name)
-            if not isinstance(p, (int, float)) or isinstance(p, bool) or not 0.0 <= p <= 1.0:
+            object.__setattr__(self, name, require_real(p, name, ScenarioError))
+            if not 0.0 <= p <= 1.0:
                 raise ScenarioError(f"{name} must be a probability in [0, 1], got {p!r}")
         object.__setattr__(self, "boundary_erosion_px", require_int(
             self.boundary_erosion_px, "boundary_erosion_px", 0, ScenarioError))

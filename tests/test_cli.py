@@ -463,9 +463,137 @@ def test_refine_rejects_a_report_path_that_is_the_out_path(tmp_path, capsys, mon
                                                           "masklets.json"]
 
 
-def test_cli_requires_a_subcommand():
-    with pytest.raises(SystemExit):
-        main([])
+def test_cli_requires_a_subcommand(capsys):
+    # argparse used to print its usage text and exit 2 here.
+    assert main([]) == 1
+    assert one_line_error(capsys) == {
+        "type": "ValueError",
+        "message": "maskfuse: the following arguments are required: command"}
+
+
+# --- numbers and usage errors -------------------------------------------------------
+
+REFINE = ["refine", "--coarse", "coarse.json", "--tracked", "masklets.json",
+          "--out", "refined.json", "--report", "report.json"]
+ABLATE = ["ablate", "--coarse", "coarse.json", "--tracked", "masklets.json", "--gt", "gt.json",
+          "--json-out", "table.json"]
+DEEP = "[" * 100_000
+
+
+def cut(message: str) -> str:
+    """``message`` as ``main`` prints it, cut to ``MAX_ERROR_CHARS``."""
+    extra = len(message) - maskfuse.cli.MAX_ERROR_CHARS
+    return message if extra <= 0 else f"{message[:-extra]}... [{extra} more characters cut]"
+
+
+def not_json(command: str, flag: str, text: str) -> str:
+    return cut(f"maskfuse {command}: argument {flag}: not JSON: {text!r}")
+
+
+# (argv, the error message). Numbers are JSON numbers, checked only by RefineConfig:
+# `1_5`, `١٥` and `+5` ran window 15, 15 and 5, `٠.٥` ran tau 0.5 and `5,,+2` ran
+# windows 5 and 2, while `abc` and a missing flag gave argparse's usage text and exit 2.
+REJECTED = [
+    pytest.param([*REFINE, "--window", text], not_json("refine", "--window", text), id=name)
+    for name, text in (("window-underscore", "1_5"), ("window-arabic-digits", "١٥"),
+                       ("window-plus-sign", "+5"), ("window-empty", ""),
+                       ("window-deep", DEEP))
+] + [
+    pytest.param([*REFINE, "--window", text], f"window must be an integer of at least 1, got {got}",
+                 id=f"window-{text}")
+    for text, got in (("5.0", "5.0"), ("0", "0"), ("true", "True"), ('"15"', "'15'"),
+                      ("NaN", "nan"), ("1e999", "inf"), ("[15]", "[15]"))
+] + [
+    pytest.param([*REFINE, "--tau", text], not_json("refine", "--tau", text), id=name)
+    for name, text in (("tau-arabic-digits", "٠.٥"), ("tau-word", "abc"), ("tau-deep", DEEP))
+] + [
+    pytest.param([*REFINE, "--tau", text], f"tau must be a finite real number, got {got}",
+                 id=f"tau-{text[:8]}")
+    for text, got in (("NaN", "nan"), ("Infinity", "inf"), ("1e999", "inf"), ("true", "True"),
+                      ('"0.5"', "'0.5'"), ("null", "None"), ("1" + "0" * 400, "1" + "0" * 400))
+] + [
+    pytest.param([*REFINE, "--tau", "1"], "tau must satisfy 0 <= tau < 1, got 1.0", id="tau-1"),
+] + [
+    pytest.param([*ABLATE, "--windows", text], not_json("ablate", "--windows", item), id=name)
+    for name, text, item in (("windows-empty-item", "5,,+2", ""), ("windows-empty", "", ""),
+                             ("windows-trailing-comma", "5,", ""),
+                             ("windows-underscore", "1_0, +5", "1_0"),
+                             ("windows-words", "a,b", "a"), ("windows-deep", DEEP, DEEP))
+] + [
+    pytest.param([*ABLATE, "--windows", text], f"window must be an integer of at least 1, got {got}",
+                 id=f"windows-{text}")
+    for text, got in (("5,0", "0"), ("5.0", "5.0"), ("5,[10]", "[10]"))
+] + [
+    pytest.param([], "maskfuse: the following arguments are required: command",
+                 id="no-subcommand"),
+    pytest.param(["eval", "--pred", "x.json"],
+                 "maskfuse eval: the following arguments are required: --gt", id="missing-flag"),
+    pytest.param([*REFINE, "--bogus"], "maskfuse: unrecognized arguments: --bogus",
+                 id="unknown-flag"),
+    pytest.param([*REFINE, "--tau", "-Infinity"],
+                 "maskfuse refine: argument --tau: expected one argument", id="flag-like-value"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REJECTED)
+def test_every_rejected_number_or_usage_is_one_json_error(tmp_path, capsys, monkeypatch, argv,
+                                                          message):
+    write_fig2_tree(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": {"type": "ValueError", "message": message}}
+    assert sorted(os.listdir(tmp_path)) == ["coarse.json", "gt.json", "masklets.json"]
+
+
+def test_rejected_number_and_usage_exit_1_in_a_process(tmp_path):
+    paths, _ = write_fig2_tree(tmp_path)
+    out = tmp_path / "refined.json"
+    for argv, message in (
+        (["--window", "1_5"], "maskfuse refine: argument --window: not JSON: '1_5'"),
+        (["--tau", "1"], "tau must satisfy 0 <= tau < 1, got 1.0"),
+        (["--bogus"], "maskfuse: unrecognized arguments: --bogus"),
+    ):
+        proc = run_python("-m", "maskfuse.cli", "refine", "--coarse", paths["coarse"],
+                          "--tracked", paths["masklets"], "--out", str(out), *argv, timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert len(proc.stderr.splitlines()) == 1
+        assert json.loads(proc.stderr)["error"] == {"type": "ValueError", "message": message}
+        assert not out.exists()
+    proc = run_python("-m", "maskfuse.cli", "refine", "--help", timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: maskfuse refine")
+
+
+def test_run_exits_with_mains_code(monkeypatch, capsys):
+    # run() is the installed `maskfuse` script's entry point.
+    monkeypatch.setattr(sys, "argv", ["maskfuse", "eval", "--pred", "x.json"])
+    with pytest.raises(SystemExit) as info:
+        maskfuse.cli.run()
+    assert info.value.code == 1
+    assert one_line_error(capsys)["message"] == (
+        "maskfuse eval: the following arguments are required: --gt")
+
+
+def test_refine_checks_its_numbers_before_reading_the_manifests(tmp_path, capsys):
+    # A bad --tau used to be reported only after both manifests were read, so a
+    # missing manifest hid it.
+    missing = str(tmp_path / "missing.json")
+    assert main(["refine", "--coarse", missing, "--tracked", missing,
+                 "--out", str(tmp_path / "out.json"), "--tau", "NaN"]) == 1
+    assert one_line_error(capsys) == {"type": "ValueError",
+                                      "message": "tau must be a finite real number, got nan"}
+
+
+def test_default_window_and_tau_are_written_as_before(tmp_path, capsys):
+    paths, _ = write_fig2_tree(tmp_path)
+    report = tmp_path / "report.json"
+    assert main(["refine", "--coarse", paths["coarse"], "--tracked", paths["masklets"],
+                 "--out", str(tmp_path / "refined.json"), "--report", str(report)]) == 0
+    text = report.read_text()
+    assert '"window": 15' in text and '"tau": 0.8' in text
 
 
 RECT = {"kind": "rect", "size": [2, 2]}

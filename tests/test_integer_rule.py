@@ -88,11 +88,20 @@ SITES = [
     ("boundary_erosion_px",
      lambda v, _: CorruptionSpec(boundary_erosion_px=v).boundary_erosion_px,
      ScenarioError, "boundary_erosion_px", 0, 1),
+    ("MaskletSet.num_frames", lambda v, _: MaskletSet(tracks=[[LINE]], num_frames=v).num_frames,
+     ValueError, "num_frames", 1, 1),
+    ("MaskletSet.height", lambda v, _: MaskletSet(tracks=[[LINE]], height=v).height,
+     ValueError, "height", 1, 5),
+    ("MaskletSet.width", lambda v, _: MaskletSet(tracks=[[LINE]], width=v).width,
+     ValueError, "width", 1, 5),
 ]
-# None asks boundary_f for the default tolerance, so it is no bad value there.
+# None asks for a default there: boundary_f's tolerance, a masklet set's dimensions
+# from its tracks. So it is no bad value at those sites.
+NONE_IS_DEFAULT = ("boundary_f.tolerance_px", "MaskletSet.num_frames", "MaskletSet.height",
+                   "MaskletSet.width")
 BAD_CASES = [pytest.param(*site, bad, id=f"{site[0]}-{bad}")
              for site in SITES for bad in (True, 2.5, "3", None, "below")
-             if not (bad is None and site[0] == "boundary_f.tolerance_px")]
+             if not (bad is None and site[0] in NONE_IS_DEFAULT)]
 # JSON has no numpy integers, so the manifest header only meets plain ones.
 NUMPY_CASES = [pytest.param(*site, id=site[0])
                for site in SITES if not site[0].startswith("manifest.")]
@@ -152,3 +161,14 @@ def test_an_empty_masklet_set_stores_numpy_dimensions_as_plain_ints():
     masklets = MaskletSet(tracks=[], num_frames=np.int64(2), height=np.uint8(3),
                           width=np.int32(4))
     assert json.dumps((masklets.num_frames, masklets.height, masklets.width)) == "[2, 3, 4]"
+
+
+def test_a_masklet_set_with_tracks_rejects_dimensions_that_only_compare_equal():
+    # Both used to be accepted, as True == 1 and 2.0 == 2, and stored as 1 and 2.
+    track = [np.zeros((2, 3), dtype=bool)]
+    with pytest.raises(ValueError, match="num_frames must be an integer of at least 1, got True"):
+        MaskletSet(tracks=[track], num_frames=True)
+    with pytest.raises(ValueError, match=r"height must be an integer of at least 1, got 2\.0"):
+        MaskletSet(tracks=[track], height=2.0)
+    masklets = MaskletSet(tracks=[track], num_frames=np.int64(1), height=np.int64(2))
+    assert (type(masklets.num_frames), type(masklets.height)) == (int, int)
