@@ -9,8 +9,8 @@ Subcommands:
 * ``overlay`` — export a sequence manifest as per-frame PGM images.
 
 Every failure, a usage error included, exits 1 after printing a one-line JSON
-error object (``{"error": {"type": ..., "message": ...}}``) to stderr; output
-files are written atomically, so a failed run never leaves partial manifests behind.
+error object (``{"error": {"type": ..., "message": ...}}``) to stderr. Output
+files are written atomically, and a failed run removes those it had written.
 """
 
 from __future__ import annotations
@@ -22,9 +22,11 @@ import sys
 
 from .errors import MaskFuseError, ScenarioError
 from .manifest import (
+    SEQUENCE_KINDS,
     load_manifest,
     masklet_manifest,
     read_json,
+    removed_on_failure,
     save_manifest,
     sequence_manifest,
     write_json_atomic,
@@ -102,22 +104,22 @@ def _cmd_refine(args) -> int:
     if args.report is not None and os.path.realpath(args.report) == os.path.realpath(args.out):
         raise ValueError(f"--report and --out name the same file: {args.out}")
     cfg = RefineConfig(window=args.window, tau=args.tau)
-    coarse_manifest = load_manifest(args.coarse)
-    coarse = coarse_manifest.require_sequence(args.coarse)
-    tracked = load_manifest(args.tracked).require_masklets(args.tracked)
-    refined = refine_video(coarse, tracked, cfg)
-    save_manifest(args.out, sequence_manifest(coarse_manifest.video_id, "refined", refined))
-    if args.report is not None:
-        report = {"video_id": coarse_manifest.video_id}
-        report.update(refined.report.to_json_dict())
-        write_json_atomic(args.report, report)
+    coarse_manifest = load_manifest(args.coarse, kinds=SEQUENCE_KINDS)
+    tracked = load_manifest(args.tracked, kinds=("masklets",)).data
+    refined = refine_video(coarse_manifest.data, tracked, cfg)
+    with removed_on_failure() as written:
+        save_manifest(args.out, sequence_manifest(coarse_manifest.video_id, "refined", refined))
+        written.append(args.out)
+        if args.report is not None:
+            write_json_atomic(args.report, {"video_id": coarse_manifest.video_id,
+                                            **refined.report.to_json_dict()})
     print(f"refined {refined.num_frames} frames -> {args.out}")
     return 0
 
 
 def _cmd_eval(args) -> int:
-    pred = load_manifest(args.pred).require_sequence(args.pred)
-    gt = load_manifest(args.gt).require_sequence(args.gt)
+    pred = load_manifest(args.pred, kinds=SEQUENCE_KINDS).data
+    gt = load_manifest(args.gt, kinds=SEQUENCE_KINDS).data
     result = evaluate_sequence(pred, gt)
     if args.json_out is not None:
         write_json_atomic(args.json_out, result.to_json_dict())
@@ -129,16 +131,18 @@ def _cmd_eval(args) -> int:
 def _cmd_synth(args) -> int:
     scenario = scenario_from_dict(read_json(args.spec, ScenarioError, ScenarioError))
     result = generate(scenario)
-    os.makedirs(args.out_dir, exist_ok=True)
     outputs = {
         "gt.json": sequence_manifest(scenario.video_id, "gt", result.gt),
         "masklets.json": masklet_manifest(scenario.video_id, result.masklets),
         "coarse.json": sequence_manifest(scenario.video_id, "coarse", result.coarse),
     }
-    for name, manifest in outputs.items():
-        save_manifest(os.path.join(args.out_dir, name), manifest)
-    write_json_atomic(os.path.join(args.out_dir, "corruption.json"),
-                      corruption_report(result, DEFAULT_WINDOW))
+    with removed_on_failure(args.out_dir) as written:
+        for name, manifest in outputs.items():
+            path = os.path.join(args.out_dir, name)
+            save_manifest(path, manifest)
+            written.append(path)
+        write_json_atomic(os.path.join(args.out_dir, "corruption.json"),
+                          corruption_report(result, DEFAULT_WINDOW))
     for name in (*outputs, "corruption.json"):
         print(os.path.join(args.out_dir, name))
     return 0
@@ -146,9 +150,9 @@ def _cmd_synth(args) -> int:
 
 def _cmd_ablate(args) -> int:
     configs = [RefineConfig(window=w) for w in args.windows]
-    coarse = load_manifest(args.coarse).require_sequence(args.coarse)
-    tracked = load_manifest(args.tracked).require_masklets(args.tracked)
-    gt = load_manifest(args.gt).require_sequence(args.gt)
+    coarse = load_manifest(args.coarse, kinds=SEQUENCE_KINDS).data
+    tracked = load_manifest(args.tracked, kinds=("masklets",)).data
+    gt = load_manifest(args.gt, kinds=SEQUENCE_KINDS).data
 
     baseline = evaluate_sequence(coarse, gt)
     rows = [{"method": "baseline", "window": None, **baseline.summary()}]
@@ -165,27 +169,20 @@ def _cmd_ablate(args) -> int:
         j, f = zip(*(scores[key] for key in keys))
         rows.append({"method": "refined", "window": cfg.window, **EvalResult(j, f).summary()})
 
-    header = ("method", "window", "J", "F", "J&F")
-    cells = [header]
-    for row in rows:
-        cells.append((
-            row["method"],
-            "-" if row["window"] is None else str(row["window"]),
-            *(f"{row[key]:.2f}" for key in header[2:]),
-        ))
-    widths = [max(len(row[col]) for row in cells) for col in range(5)]
-    for row in cells:
-        cols = [row[0].ljust(widths[0])]
-        cols += [row[i].rjust(widths[i]) for i in range(1, 5)]
-        print("  ".join(cols).rstrip())
-
     if args.json_out is not None:
-        write_json_atomic(args.json_out, rows)
+        write_json_atomic(args.json_out, rows)  # before the table, so a failed write prints none
+    header = ("method", "window", "J", "F", "J&F")
+    cells = [header, *((row["method"], "-" if row["window"] is None else str(row["window"]),
+                        *(f"{row[key]:.2f}" for key in header[2:])) for row in rows)]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    for row in cells:
+        cols = [row[0].ljust(widths[0])] + [c.rjust(w) for c, w in zip(row[1:], widths[1:])]
+        print("  ".join(cols).rstrip())
     return 0
 
 
 def _cmd_overlay(args) -> int:
-    sequence = load_manifest(args.in_path).require_sequence(args.in_path)
+    sequence = load_manifest(args.in_path, kinds=SEQUENCE_KINDS).data
     paths = export_overlay(sequence, args.out_dir)
     print(f"wrote {len(paths)} frames to {args.out_dir}")
     return 0
@@ -202,7 +199,9 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args, extra = _build_parser().parse_known_args(argv)
+        if extra:  # argparse's own message names only the top-level parser
+            raise ValueError(f"maskfuse {args.command}: unrecognized arguments: {' '.join(extra)}")
         return _COMMANDS[args.command](args)
     except (MaskFuseError, ValueError, OSError) as exc:
         message = str(exc)

@@ -20,13 +20,14 @@ file in the target directory, and renamed into place, so a failed save
 never leaves a partial manifest behind. The file gets the mode a plain
 ``open(path, "w")`` would give it, ``0o666`` less the process umask.
 
-A manifest whose frames would exceed the mask budget (``masks.require_mask_budget``)
-is rejected before any mask data is decoded, and so is a JSON object that
-repeats a key.
+A manifest of a kind the caller did not ask for, or whose frames would exceed
+the mask budget (``masks.require_mask_budget``), is rejected before any mask
+data is decoded, and so is a JSON object that repeats a key.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from collections import Counter
@@ -84,23 +85,6 @@ class VideoManifest:
     def num_frames(self) -> int:
         return self.data.num_frames
 
-    def require_sequence(self, path: str = "<manifest>") -> MaskSequence:
-        """The mask sequence, or :class:`ManifestKindError` for masklet manifests."""
-        if self.kind == "masklets":
-            raise ManifestKindError(
-                f"{path}: kind 'masklets' where a frame-sequence manifest "
-                f"({'/'.join(SEQUENCE_KINDS)}) is required"
-            )
-        return self.data
-
-    def require_masklets(self, path: str = "<manifest>") -> MaskletSet:
-        """The masklet set, or :class:`ManifestKindError` for sequence manifests."""
-        if self.kind != "masklets":
-            raise ManifestKindError(
-                f"{path}: kind {self.kind!r} where a 'masklets' manifest is required"
-            )
-        return self.data
-
 
 def sequence_manifest(video_id: str, kind: str, sequence) -> VideoManifest:
     """Wrap a mask sequence, refined result or iterable of masks for saving."""
@@ -151,6 +135,26 @@ def write_json_atomic(path, obj) -> None:
             pass
         if isinstance(exc, OSError) and exc.filename == tmp_path:  # gone: name the target
             raise type(exc)(exc.errno, exc.strerror, path) from None
+        raise
+
+
+@contextlib.contextmanager
+def removed_on_failure(directory=None):
+    """Yield a list for the paths the block writes. If the block raises, those
+    files are removed, and ``directory`` too if this call created it."""
+    created = directory is not None and not os.path.isdir(directory)
+    if created:
+        os.makedirs(directory)
+    written: list = []
+    try:
+        yield written
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        if created:
+            with contextlib.suppress(OSError):
+                os.rmdir(directory)
         raise
 
 
@@ -211,13 +215,15 @@ def _frames_from_json(entries, instance: int | None, num_frames: int, height: in
     return frames
 
 
-def load_manifest(path) -> VideoManifest:
-    """Read and fully validate a manifest file.
+def load_manifest(path, *, kinds=KINDS) -> VideoManifest:
+    """Read and fully validate a manifest file of one of ``kinds``.
 
     Raises :class:`ManifestParseError` when the file cannot be read or
     decoded as JSON (not UTF-8, nested too deeply, an integer too long),
     :class:`ManifestSchemaError` when fields are missing or of
-    the wrong type, and :class:`ManifestIntegrityError` when the mask data
+    the wrong type, :class:`ManifestKindError` when the header's kind is
+    valid but not one of ``kinds`` (checked before the dimensions and any
+    frame), and :class:`ManifestIntegrityError` when the mask data
     violates an invariant (naming the offending frame or instance) or
     would exceed the mask budget (``masks.require_mask_budget``).
     """
@@ -230,6 +236,9 @@ def load_manifest(path) -> VideoManifest:
     kind = _require_key(obj, "kind", path)
     if kind not in KINDS:
         raise ManifestSchemaError(f"{path}: 'kind' must be one of {KINDS}, got {kind!r}")
+    if kind not in kinds:
+        raise ManifestKindError(f"{path}: kind {kind!r} where a {'/'.join(kinds)} manifest "
+                                "is required")
     height, width, num_frames = (
         require_int(_require_key(obj, key, path), f"{path}: {key!r}", 1, ManifestSchemaError)
         for key in ("height", "width", "num_frames"))

@@ -7,11 +7,11 @@ frame, named ``00001.pgm``, ``00002.pgm``, ... in frame order.
 
 from __future__ import annotations
 
-import contextlib
 import os
 
 import numpy as np
 
+from .manifest import removed_on_failure
 from .masks import Mask, make_mask
 from .refine import MaskSequence
 
@@ -32,26 +32,14 @@ def export_overlay(sequence, out_dir) -> list[str]:
     Accepts mask sequences, refined results, or a plain iterable of masks
     (see :class:`MaskSequence`); ragged or non-2-D input raises
     ``ValueError`` before anything is written. Returns the written paths in
-    frame order. The directory is created if needed. On any failure the
-    frames this call wrote are removed, and the directory too if this call
-    created it, before the exception propagates with the offending path.
+    frame order. The directory is created if needed. On any failure the files
+    and the directory this call created are removed (``manifest.removed_on_failure``).
     """
     frames = MaskSequence(frames=sequence).frames
-    created = not os.path.isdir(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    try:
+    with removed_on_failure(out_dir) as paths:
         for index, mask in enumerate(frames, start=1):
             path = os.path.join(out_dir, f"{index:05d}.pgm")
             # Listed before writing, so a frame that fails halfway is removed too.
             paths.append(path)
             write_pgm(path, mask)
-    except BaseException:
-        for path in paths:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        if created:
-            with contextlib.suppress(OSError):
-                os.rmdir(out_dir)
-        raise
     return paths

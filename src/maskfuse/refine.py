@@ -23,8 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import AlignmentError
-from .masks import (Mask, area, intersection_area, is_int, make_mask, require_int, require_real,
-                    union)
+from .masks import Mask, area, intersection_area, make_mask, require_int, require_real, union
 
 # Supported policies for breaking ties between equally frequent combinations.
 TIE_BREAK_POLICIES = ("earliest", "smallest")
@@ -107,9 +106,9 @@ class MaskletSet:
                        for seq in self.tracks)
         object.__setattr__(self, "tracks", tracks)
         declared = (self.num_frames, self.height, self.width)
-        if not tracks and not all(is_int(d) and d >= 1 for d in declared):
+        if not tracks and any(d is None for d in declared):
             raise ValueError("an empty masklet set needs explicit num_frames, height and "
-                             f"width of at least 1, got {declared}")
+                             f"width, got {declared}")
         dims = (tracks[0].num_frames, tracks[0].height, tracks[0].width) if tracks else declared
         for name, d, t in zip(("num_frames", "height", "width"), declared, dims):
             object.__setattr__(self, name, t if d is None else require_int(d, name, 1))
@@ -330,12 +329,13 @@ def refine_video(coarse: MaskSequence, tracked: MaskletSet,
     """
     if cfg is None:
         cfg = RefineConfig()
-    require_aligned(coarse, tracked, "coarse sequence", "masklets")
     require_int(workers, "workers", 1)
     if fractions is None:
-        fractions = gate(coarse, tracked)
-    elif len(fractions) != coarse.num_frames:
-        raise ValueError(f"fractions must have {coarse.num_frames} rows, got {len(fractions)}")
+        fractions = gate(coarse, tracked)  # gate checks the alignment
+    else:
+        require_aligned(coarse, tracked, "coarse sequence", "masklets")
+        if len(fractions) != coarse.num_frames:
+            raise ValueError(f"fractions must have {coarse.num_frames} rows, got {len(fractions)}")
 
     frames: list[Mask] = []
     window_records = []

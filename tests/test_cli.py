@@ -440,6 +440,63 @@ def test_kind_misuse_gives_kind_error(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "ManifestKindError"
 
 
+def wrong_kind_payload(kind: str) -> dict:
+    """A 3x5 manifest of ``kind`` whose first frame is well formed and whose last is not."""
+    good, bad = {"h": 3, "w": 5, "counts": [15]}, {"h": 3, "w": 5, "counts": [14]}
+    header = {"video_id": "v", "kind": kind, "height": 3, "width": 5, "num_frames": 2}
+    if kind == "masklets":
+        return {**header, "instances": {"1": [good, good], "2": [good, bad]}}
+    return {**header, "frames": [good, bad]}
+
+
+ROLES = [("refine", "--coarse"), ("refine", "--tracked"), ("eval", "--pred"), ("eval", "--gt"),
+         ("ablate", "--coarse"), ("ablate", "--tracked"), ("ablate", "--gt"), ("overlay", "--in")]
+
+
+@pytest.mark.parametrize("command, flag", ROLES, ids=[f"{c}{f}" for c, f in ROLES])
+def test_a_wrong_kind_fails_every_role_before_any_frame_is_decoded(tmp_path, capsys, monkeypatch,
+                                                                   command, flag):
+    # The kind used to be checked after the whole file was decoded, so these
+    # files failed on their last frame with a ManifestIntegrityError.
+    paths, _ = write_fig2_tree(tmp_path)
+    out = tmp_path / "out"
+    argv = {
+        "refine": ["refine", "--coarse", paths["coarse"], "--tracked", paths["masklets"],
+                   "--out", str(out)],
+        "eval": ["eval", "--pred", paths["coarse"], "--gt", paths["gt"]],
+        "ablate": ["ablate", "--coarse", paths["coarse"], "--tracked", paths["masklets"],
+                   "--gt", paths["gt"], "--windows", "5"],
+        "overlay": ["overlay", "--in", paths["gt"], "--out-dir", str(out)],
+    }[command]
+    wrong = tmp_path / "wrong.json"
+    wrong.write_text(json.dumps(wrong_kind_payload("gt" if flag == "--tracked" else "masklets")))
+    argv[argv.index(flag) + 1] = str(wrong)
+    decoded = []
+    real_decode = maskfuse.manifest.rle_decode
+    monkeypatch.setattr(maskfuse.manifest, "rle_decode",
+                        lambda rle: decoded.append((rle.height, rle.width)) or real_decode(rle))
+    assert main(argv) == 1
+    printed, err = capsys.readouterr()
+    assert printed == "" and len(err.splitlines()) == 1
+    assert json.loads(err)["error"]["type"] == "ManifestKindError"
+    assert (3, 5) not in decoded  # fig2 frames are 24x48: no frame of the wrong file
+    assert not out.exists()
+
+
+def test_wrong_kind_error_is_one_line_naming_the_role(tmp_path, capsys):
+    paths, _ = write_fig2_tree(tmp_path)
+    assert main(["eval", "--pred", paths["masklets"], "--gt", paths["gt"]]) == 1
+    assert one_line_error(capsys) == {
+        "type": "ManifestKindError",
+        "message": f"{paths['masklets']}: kind 'masklets' where a coarse/refined/gt manifest "
+                   "is required"}
+    assert main(["refine", "--coarse", paths["coarse"], "--tracked", paths["gt"],
+                 "--out", str(tmp_path / "o.json")]) == 1
+    assert one_line_error(capsys) == {
+        "type": "ManifestKindError",
+        "message": f"{paths['gt']}: kind 'gt' where a masklets manifest is required"}
+
+
 def test_failed_refine_writes_no_output(tmp_path, capsys):
     paths, _ = write_fig2_tree(tmp_path)
     out = tmp_path / "refined.json"
@@ -447,6 +504,40 @@ def test_failed_refine_writes_no_output(tmp_path, capsys):
                  "--out", str(out), "--tau", "1.5"]) == 1
     assert not out.exists()
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
+
+
+def test_refine_whose_report_fails_leaves_no_refined_manifest(tmp_path, capsys):
+    # The refined manifest used to stay behind, though the run exited 1.
+    paths, _ = write_fig2_tree(tmp_path)
+    assert main(["refine", "--coarse", paths["coarse"], "--tracked", paths["masklets"],
+                 "--out", str(tmp_path / "o.json"),
+                 "--report", str(tmp_path / "nodir" / "r.json")]) == 1
+    assert one_line_error(capsys)["type"] == "FileNotFoundError"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["coarse.json", "gt.json",
+                                                          "masklets.json"]
+
+
+def test_synth_whose_last_write_fails_leaves_no_manifests(tmp_path, capsys):
+    # The three manifests used to stay behind, though the run exited 1.
+    out_dir = tmp_path / "out"
+    (out_dir / "corruption.json").mkdir(parents=True)
+    code, _ = run_synth(tmp_path, synth_spec())
+    assert code == 1
+    assert capsys.readouterr().out == ""
+    assert os.listdir(out_dir) == ["corruption.json"]
+    assert list((out_dir / "corruption.json").iterdir()) == []
+
+
+def test_ablate_whose_json_out_fails_prints_no_table(tmp_path, capsys):
+    # The whole table used to be printed before the failed write.
+    paths, _ = write_fig2_tree(tmp_path)
+    assert main(["ablate", "--coarse", paths["coarse"], "--tracked", paths["masklets"],
+                 "--gt", paths["gt"], "--windows", "5",
+                 "--json-out", str(tmp_path / "nodir" / "t.json")]) == 1
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert json.loads(err)["error"]["type"] == "FileNotFoundError"
+    assert not (tmp_path / "nodir").exists()
 
 
 @pytest.mark.parametrize("report", ["refined.json", "./refined.json"])
@@ -528,7 +619,7 @@ REJECTED = [
                  id="no-subcommand"),
     pytest.param(["eval", "--pred", "x.json"],
                  "maskfuse eval: the following arguments are required: --gt", id="missing-flag"),
-    pytest.param([*REFINE, "--bogus"], "maskfuse: unrecognized arguments: --bogus",
+    pytest.param([*REFINE, "--bogus"], "maskfuse refine: unrecognized arguments: --bogus",
                  id="unknown-flag"),
     pytest.param([*REFINE, "--tau", "-Infinity"],
                  "maskfuse refine: argument --tau: expected one argument", id="flag-like-value"),
@@ -554,7 +645,7 @@ def test_rejected_number_and_usage_exit_1_in_a_process(tmp_path):
     for argv, message in (
         (["--window", "1_5"], "maskfuse refine: argument --window: not JSON: '1_5'"),
         (["--tau", "1"], "tau must satisfy 0 <= tau < 1, got 1.0"),
-        (["--bogus"], "maskfuse: unrecognized arguments: --bogus"),
+        (["--bogus"], "maskfuse refine: unrecognized arguments: --bogus"),
     ):
         proc = run_python("-m", "maskfuse.cli", "refine", "--coarse", paths["coarse"],
                           "--tracked", paths["masklets"], "--out", str(out), *argv, timeout=60)
@@ -689,7 +780,13 @@ def test_long_error_message_is_cut_to_one_short_line(tmp_path, capsys, payload):
     with pytest.raises(maskfuse.ManifestSchemaError) as info:
         load_manifest(path)
     full = str(info.value)
-    assert main(["eval", "--pred", str(path), "--gt", str(path)]) == 1
+    if payload["kind"] == "masklets":  # a masklet role, so the key is read and rejected
+        paths, _ = write_fig2_tree(tmp_path)
+        argv = ["refine", "--coarse", paths["coarse"], "--tracked", str(path),
+                "--out", str(tmp_path / "o.json")]
+    else:
+        argv = ["eval", "--pred", str(path), "--gt", str(path)]
+    assert main(argv) == 1
     err = one_line_error(capsys)
     cap = maskfuse.cli.MAX_ERROR_CHARS
     assert len(full) > 4 * cap

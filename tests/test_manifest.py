@@ -24,7 +24,7 @@ from maskfuse import (
     save_manifest,
     sequence_manifest,
 )
-from maskfuse.manifest import manifest_to_json_dict
+from maskfuse.manifest import SEQUENCE_KINDS, manifest_to_json_dict
 from maskfuse.masks import MAX_MASK_PIXELS
 
 
@@ -221,18 +221,40 @@ def test_kind_guards(tmp_path):
     seq_path = tmp_path / "seq.json"
     save_manifest(seq_path, sequence_manifest(
         "v", "gt", MaskSequence(frames=(np.zeros((2, 2), dtype=bool),))))
-    loaded = load_manifest(seq_path)
-    assert loaded.require_sequence().num_frames == 1
-    with pytest.raises(ManifestKindError):
-        loaded.require_masklets(str(seq_path))
+    assert load_manifest(seq_path, kinds=SEQUENCE_KINDS).data.num_frames == 1
+    with pytest.raises(ManifestKindError) as info:
+        load_manifest(seq_path, kinds=("masklets",))
+    assert str(info.value) == f"{seq_path}: kind 'gt' where a masklets manifest is required"
 
     tracks = MaskletSet(tracks=[], num_frames=1, height=2, width=2)
     m_path = tmp_path / "m.json"
     save_manifest(m_path, masklet_manifest("v", tracks))
-    loaded_m = load_manifest(m_path)
-    assert loaded_m.require_masklets().num_instances == 0
-    with pytest.raises(ManifestKindError):
-        loaded_m.require_sequence(str(m_path))
+    assert load_manifest(m_path, kinds=("masklets",)).data.num_instances == 0
+    with pytest.raises(ManifestKindError) as info:
+        load_manifest(m_path, kinds=SEQUENCE_KINDS)
+    assert str(info.value) == (
+        f"{m_path}: kind 'masklets' where a coarse/refined/gt manifest is required")
+    # The default takes every kind.
+    assert load_manifest(seq_path).kind == "gt" and load_manifest(m_path).kind == "masklets"
+
+
+@pytest.mark.parametrize("rest", [
+    {"height": "x", "width": 2, "num_frames": 1},
+    {"height": 2, "width": 2},
+    {"height": 100000, "width": 100000, "num_frames": 10**6},
+    {"height": 2, "width": 2, "num_frames": 1, "instances": {"01": []}},
+    {"height": 2, "width": 2, "num_frames": 1, "instances": {"2": []}},
+    {"height": 2, "width": 2, "num_frames": 1, "instances": {"1": [{"h": 2, "w": 2}]}},
+    {"height": 2, "width": 2, "num_frames": 1, "instances": []},
+], ids=["bad-height", "no-num-frames", "over-budget", "bad-key", "gap-in-ids", "bad-rle",
+        "instances-not-an-object"])
+def test_a_wrong_kind_is_reported_before_anything_after_the_kind(tmp_path, monkeypatch, rest):
+    monkeypatch.setattr(maskfuse.manifest, "rle_decode", lambda rle: pytest.fail("decoded"))
+    path = write_json(tmp_path / "m.json", {"video_id": "v", "kind": "masklets", **rest})
+    with pytest.raises(ManifestKindError, match="kind 'masklets' where a coarse/refined/gt"):
+        load_manifest(path, kinds=SEQUENCE_KINDS)
+    with pytest.raises((ManifestSchemaError, ManifestIntegrityError)):
+        load_manifest(path)
 
 
 def test_video_manifest_rejects_kind_data_mismatch():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maskfuse.refine
 import oracles
 from conftest import fallback_scenario, mask_from_rows, rand_mask
 from maskfuse import (
@@ -110,6 +111,16 @@ def test_empty_masklet_set_needs_explicit_dims():
     ms = MaskletSet(tracks=[], num_frames=3, height=2, width=2)
     assert ms.num_instances == 0
     assert ms.tracks == ()
+
+
+def test_empty_masklet_set_gives_one_message_per_bad_dimension():
+    with pytest.raises(ValueError, match=r"^an empty masklet set needs explicit num_frames, "
+                                         r"height and width, got \(None, 1, 1\)$"):
+        MaskletSet(tracks=[], height=1, width=1)
+    with pytest.raises(ValueError, match="^num_frames must be an integer of at least 1, got 0$"):
+        MaskletSet(tracks=[], num_frames=0, height=1, width=1)
+    with pytest.raises(ValueError, match=r"^width must be an integer of at least 1, got 2\.0$"):
+        MaskletSet(tracks=[], num_frames=1, height=1, width=2.0)
 
 
 def test_masklet_set_frame_rejects_ids_outside_one_to_n():
@@ -372,6 +383,20 @@ def test_refine_video_rejects_misaligned_inputs():
     wrong_dims = MaskletSet(tracks=[seq_of(empty_mask(3, 2), empty_mask(3, 2))])
     with pytest.raises(AlignmentError):
         refine_video(coarse, wrong_dims)
+
+
+@pytest.mark.parametrize("given_table", [False, True], ids=["gated-here", "table-given"])
+def test_refine_video_checks_alignment_once(monkeypatch, given_table):
+    result = generate(fig2_scenario())
+    fractions = gate(result.coarse, result.masklets) if given_table else None
+    calls = []
+    real = maskfuse.refine.require_aligned
+    monkeypatch.setattr(maskfuse.refine, "require_aligned", lambda *a: calls.append(a) or real(*a))
+    refine_video(result.coarse, result.masklets, fractions=fractions)
+    assert len(calls) == 1
+    short = MaskletSet(tracks=[seq_of(*result.coarse.frames[:-1])])
+    with pytest.raises(AlignmentError):
+        refine_video(result.coarse, short, fractions=fractions)
 
 
 def test_refine_video_rejects_bad_worker_count():
