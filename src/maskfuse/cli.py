@@ -10,7 +10,8 @@ Subcommands:
 
 Every failure, a usage error included, exits 1 after printing a one-line JSON
 error object (``{"error": {"type": ..., "message": ...}}``) to stderr. Output
-files are written atomically, and a failed run removes those it had written.
+files are written atomically, and those of one run appear together
+(``manifest.staged_outputs``): a failed run leaves every output as it was.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from .manifest import (
     load_manifest,
     masklet_manifest,
     read_json,
-    removed_on_failure,
     save_manifest,
     sequence_manifest,
+    staged_outputs,
     write_json_atomic,
 )
 from .metrics import EvalResult, evaluate_sequence
@@ -107,12 +108,12 @@ def _cmd_refine(args) -> int:
     coarse_manifest = load_manifest(args.coarse, kinds=SEQUENCE_KINDS)
     tracked = load_manifest(args.tracked, kinds=("masklets",)).data
     refined = refine_video(coarse_manifest.data, tracked, cfg)
-    with removed_on_failure() as written:
-        save_manifest(args.out, sequence_manifest(coarse_manifest.video_id, "refined", refined))
-        written.append(args.out)
+    with staged_outputs() as stage:
+        save_manifest(stage(args.out),
+                      sequence_manifest(coarse_manifest.video_id, "refined", refined))
         if args.report is not None:
-            write_json_atomic(args.report, {"video_id": coarse_manifest.video_id,
-                                            **refined.report.to_json_dict()})
+            write_json_atomic(stage(args.report), {"video_id": coarse_manifest.video_id,
+                                                   **refined.report.to_json_dict()})
     print(f"refined {refined.num_frames} frames -> {args.out}")
     return 0
 
@@ -136,12 +137,10 @@ def _cmd_synth(args) -> int:
         "masklets.json": masklet_manifest(scenario.video_id, result.masklets),
         "coarse.json": sequence_manifest(scenario.video_id, "coarse", result.coarse),
     }
-    with removed_on_failure(args.out_dir) as written:
+    with staged_outputs(args.out_dir) as stage:
         for name, manifest in outputs.items():
-            path = os.path.join(args.out_dir, name)
-            save_manifest(path, manifest)
-            written.append(path)
-        write_json_atomic(os.path.join(args.out_dir, "corruption.json"),
+            save_manifest(stage(os.path.join(args.out_dir, name)), manifest)
+        write_json_atomic(stage(os.path.join(args.out_dir, "corruption.json")),
                           corruption_report(result, DEFAULT_WINDOW))
     for name in (*outputs, "corruption.json"):
         print(os.path.join(args.out_dir, name))
@@ -201,7 +200,10 @@ def main(argv=None) -> int:
     try:
         args, extra = _build_parser().parse_known_args(argv)
         if extra:  # argparse's own message names only the top-level parser
-            raise ValueError(f"maskfuse {args.command}: unrecognized arguments: {' '.join(extra)}")
+            # Every token before the subcommand is one the top-level parser did not know.
+            before = (sys.argv[1:] if argv is None else argv)[0] != args.command
+            prog = "maskfuse" if before else f"maskfuse {args.command}"
+            raise ValueError(f"{prog}: unrecognized arguments: {' '.join(extra)}")
         return _COMMANDS[args.command](args)
     except (MaskFuseError, ValueError, OSError) as exc:
         message = str(exc)

@@ -15,10 +15,11 @@ Instance keys are contiguous decimal strings starting at "1"; instance "i"
 is ``MaskletSet.tracks[i - 1]``. Frame and instance numbers in error messages
 are 1-based, matching the file.
 
-Writes are atomic: the JSON is fully serialized, written to a temporary
-file in the target directory, and renamed into place, so a failed save
-never leaves a partial manifest behind. The file gets the mode a plain
-``open(path, "w")`` would give it, ``0o666`` less the process umask.
+Writes are atomic: a manifest is streamed, a frame at a time, into a temporary
+file beside the target, then renamed into place, so no reader sees a partial
+manifest. Its text is ``json.dumps(<the manifest as a dict>, indent=2)`` and a
+newline, but neither that text nor that dict is ever built whole. The file gets
+the mode a plain ``open(path, "w")`` would give it, ``0o666`` less the umask.
 
 A manifest of a kind the caller did not ask for, or whose frames would exceed
 the mask budget (``masks.require_mask_budget``), is rejected before any mask
@@ -28,6 +29,7 @@ data is decoded, and so is a JSON object that repeats a key.
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import os
 from collections import Counter
@@ -96,71 +98,92 @@ def masklet_manifest(video_id: str, masklets: MaskletSet) -> VideoManifest:
     return VideoManifest(video_id=video_id, kind="masklets", data=masklets)
 
 
-def manifest_to_json_dict(manifest: VideoManifest) -> dict:
-    """Serializable form with canonical key order."""
-    out = {
-        "video_id": manifest.video_id,
-        "kind": manifest.kind,
-        "height": manifest.height,
-        "width": manifest.width,
-        "num_frames": manifest.num_frames,
-    }
-    if manifest.kind == "masklets":
-        out["instances"] = {str(iid): _frames_to_json(seq)
-                            for iid, seq in enumerate(manifest.data.tracks, start=1)}
-    else:
-        out["frames"] = _frames_to_json(manifest.data)
-    return out
+def _rle_list_chunks(sequence: MaskSequence, indent: str):
+    """The frames as RLE objects in ``json.dumps(indent=2)``'s layout, a list
+    whose opening line is indented by ``indent``: one chunk per frame."""
+    item, key, value = indent + "  ", indent + "    ", indent + "      "
+    separator = "[\n"
+    for frame in sequence.frames:
+        rle = rle_encode(frame)
+        counts = f",\n{value}".join(map(str, rle.counts))
+        yield (f'{separator}{item}{{\n{key}"h": {rle.height},\n{key}"w": {rle.width},\n'
+               f'{key}"counts": [\n{value}{counts}\n{key}]\n{item}}}')
+        separator = ",\n"
+    yield f"\n{indent}]"
 
 
-def _frames_to_json(sequence: MaskSequence) -> list[dict]:
-    return [rle_encode(f).to_json_dict() for f in sequence.frames]
-
-
-def write_json_atomic(path, obj) -> None:
-    """Serialize ``obj`` fully, then write-and-rename so readers never see a partial file."""
-    text = json.dumps(obj, indent=2) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp_path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.json")
-    try:
-        # O_EXCL never reuses an existing file; mode 0o666 lets the umask apply.
-        fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp_path, path)
-    except BaseException as exc:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        if isinstance(exc, OSError) and exc.filename == tmp_path:  # gone: name the target
-            raise type(exc)(exc.errno, exc.strerror, path) from None
-        raise
+def _manifest_chunks(manifest: VideoManifest):
+    """``json.dumps(<the manifest as a dict>, indent=2) + "\\n"``, in chunks of
+    one frame each; the dict's keys are in the order the module docstring shows."""
+    header = (("video_id", manifest.video_id), ("kind", manifest.kind),
+              ("height", manifest.height), ("width", manifest.width),
+              ("num_frames", manifest.num_frames))
+    yield "{\n" + "".join(f'  "{key}": {json.dumps(value)},\n' for key, value in header)
+    if manifest.kind != "masklets":
+        yield '  "frames": '
+        yield from _rle_list_chunks(manifest.data, "  ")
+        yield "\n}\n"
+        return
+    yield '  "instances": {'
+    for iid, track in enumerate(manifest.data.tracks, start=1):
+        yield f'{"," if iid > 1 else ""}\n    "{iid}": '
+        yield from _rle_list_chunks(track, "    ")
+    yield ("\n  }" if manifest.data.tracks else "}") + "\n}\n"
 
 
 @contextlib.contextmanager
-def removed_on_failure(directory=None):
-    """Yield a list for the paths the block writes. If the block raises, those
-    files are removed, and ``directory`` too if this call created it."""
+def staged_outputs(directory=None):
+    """Yield ``stage``, which maps an output path to a temporary path beside it
+    to write instead. When the block ends, every staged file is renamed to its
+    output. If the block raises, or an output is a directory, the staged files
+    are removed instead, and ``directory`` too if this call created it: a
+    failed run leaves each output as it was and creates none."""
     created = directory is not None and not os.path.isdir(directory)
     if created:
         os.makedirs(directory)
-    written: list = []
+    staged: dict = {}  # temporary path -> output path
+
+    def stage(path) -> str:
+        tmp_path = os.path.join(os.path.dirname(os.path.abspath(path)),
+                                f".tmp-{os.urandom(8).hex()}")
+        staged[tmp_path] = path
+        return tmp_path
+
     try:
-        yield written
-    except BaseException:
-        for path in written:
+        yield stage
+        # A directory in an output's place is the one thing left that fails a rename.
+        for path in staged.values():
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for tmp_path, path in staged.items():
+            os.replace(tmp_path, path)
+    except BaseException as exc:
+        for tmp_path in staged:
             with contextlib.suppress(OSError):
-                os.remove(path)
+                os.remove(tmp_path)
         if created:
             with contextlib.suppress(OSError):
                 os.rmdir(directory)
+        if isinstance(exc, OSError) and exc.filename in staged:  # gone: name the output
+            raise type(exc)(exc.errno, exc.strerror, staged[exc.filename]) from None
         raise
 
 
+def _write_atomic(path, chunks) -> None:
+    """Write the strings ``chunks`` yields to ``path`` atomically (``staged_outputs``).
+    Mode "x" never reuses a file, and applies the umask as ``open(path, "w")`` does."""
+    with staged_outputs() as stage, open(stage(path), "x") as handle:
+        handle.writelines(chunks)
+
+
+def write_json_atomic(path, obj) -> None:
+    """Serialize ``obj`` fully, then write it to ``path`` atomically."""
+    _write_atomic(path, (json.dumps(obj, indent=2), "\n"))
+
+
 def save_manifest(path, manifest: VideoManifest) -> None:
-    """Write a manifest to ``path`` atomically."""
-    write_json_atomic(path, manifest_to_json_dict(manifest))
+    """Write a manifest to ``path`` atomically, one frame at a time."""
+    _write_atomic(path, _manifest_chunks(manifest))
 
 
 def _require_key(obj: dict, key: str, path) -> object:
@@ -225,8 +248,13 @@ def load_manifest(path, *, kinds=KINDS) -> VideoManifest:
     valid but not one of ``kinds`` (checked before the dimensions and any
     frame), and :class:`ManifestIntegrityError` when the mask data
     violates an invariant (naming the offending frame or instance) or
-    would exceed the mask budget (``masks.require_mask_budget``).
+    would exceed the mask budget (``masks.require_mask_budget``). ``kinds``
+    must hold names from ``KINDS`` and not be a string (whose substrings
+    ``in`` would match); anything else is a ``ValueError``.
     """
+    kinds = kinds if isinstance(kinds, str) else tuple(kinds)  # read a generator once
+    if isinstance(kinds, str) or any(k not in KINDS for k in kinds):
+        raise ValueError(f"kinds must be a collection of names from {KINDS}, got {kinds!r}")
     obj = read_json(path, ManifestParseError, ManifestSchemaError)
     if not isinstance(obj, dict):
         raise ManifestSchemaError(f"{path}: top level must be a JSON object")

@@ -214,15 +214,19 @@ class RleMask:
 
 
 def rle_encode(mask: Mask) -> RleMask:
-    """Encode a mask in row-major background-first run-length form."""
+    """Encode a mask in row-major background-first run-length form. Runs start
+    where the band of rows from the first to the last holding foreground,
+    padded with background, changes value; elsewhere all is background."""
     m = make_mask(mask)
-    flat = m.ravel()
-    boundaries = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    edges = np.concatenate(([0], boundaries, [flat.size]))
-    counts = np.diff(edges).tolist()
-    if flat[0]:
-        counts.insert(0, 0)
-    return RleMask(height=m.shape[0], width=m.shape[1], counts=tuple(counts))
+    height, width = m.shape
+    rows = np.flatnonzero(m.any(axis=1))
+    top, bottom = (rows[0], rows[-1] + 1) if rows.size else (0, 0)
+    band = np.concatenate(([False], m[top:bottom].ravel(), [False]))
+    starts = np.flatnonzero(band[1:] != band[:-1])  # from the band's first pixel
+    counts = np.diff(np.concatenate(([-top * width], starts, [(height - top) * width]))).tolist()
+    if counts[-1] == 0:
+        counts.pop()
+    return RleMask(height=height, width=width, counts=tuple(counts))
 
 
 def rle_decode(rle: RleMask) -> Mask:

@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from .manifest import removed_on_failure
+from .manifest import staged_outputs
 from .masks import Mask, make_mask
 from .refine import MaskSequence
 
@@ -32,14 +32,14 @@ def export_overlay(sequence, out_dir) -> list[str]:
     Accepts mask sequences, refined results, or a plain iterable of masks
     (see :class:`MaskSequence`); ragged or non-2-D input raises
     ``ValueError`` before anything is written. Returns the written paths in
-    frame order. The directory is created if needed. On any failure the files
-    and the directory this call created are removed (``manifest.removed_on_failure``).
+    frame order. The directory is created if needed. The files appear together
+    once all are written; on any failure none does, every file already there
+    is left as it was, and a directory this call created is removed
+    (``manifest.staged_outputs``).
     """
     frames = MaskSequence(frames=sequence).frames
-    with removed_on_failure(out_dir) as paths:
-        for index, mask in enumerate(frames, start=1):
-            path = os.path.join(out_dir, f"{index:05d}.pgm")
-            # Listed before writing, so a frame that fails halfway is removed too.
-            paths.append(path)
-            write_pgm(path, mask)
+    paths = [os.path.join(out_dir, f"{index:05d}.pgm") for index in range(1, len(frames) + 1)]
+    with staged_outputs(out_dir) as stage:
+        for path, mask in zip(paths, frames):
+            write_pgm(stage(path), mask)
     return paths

@@ -72,6 +72,12 @@ def test_traced_cli_pipeline_restores_every_binding(tmp_path, capsys):
     installed |= {"masks.rle_validate", "refine.report", "manifest.json_parse",
                   "manifest.json_dump"}
     assert installed - names == set()
+    # The manifest writer encodes each frame it saves once, inside the save: synth saves
+    # gt, coarse and masklets, refine the refined sequence.
+    scene = generate(fig2_scenario()).masklets
+    encodes = [span for span in tracer.spans if span[0] == "masks.rle_encode"]
+    assert len(encodes) == scene.num_frames * (scene.num_instances + 3)
+    assert {tracer.spans[span[3]][0] for span in encodes} == {"manifest.save"}
     # Windows vote and rebuild from their rows of the gate table; they never gate.
     parents = {tracer.spans[span[3]][0] for span in tracer.spans
                if span[0] == "refine.gate" and span[3] >= 0}

@@ -528,6 +528,35 @@ def test_synth_whose_last_write_fails_leaves_no_manifests(tmp_path, capsys):
     assert list((out_dir / "corruption.json").iterdir()) == []
 
 
+def test_failed_refine_leaves_an_existing_out_as_it_was(tmp_path, capsys, monkeypatch):
+    # `echo old > o.json`, then a refine whose --report cannot be written: o.json used to
+    # be replaced by the refined manifest and then removed, though the run exited 1.
+    paths, _ = write_fig2_tree(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "o.json").write_text("old\n")
+    assert main(["refine", "--coarse", paths["coarse"], "--tracked", paths["masklets"],
+                 "--out", "o.json", "--report", "nodir/r.json"]) == 1
+    err = one_line_error(capsys)
+    assert err["type"] == "FileNotFoundError" and "nodir/r.json" in err["message"]
+    assert ".tmp-" not in err["message"]
+    assert (tmp_path / "o.json").read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["coarse.json", "gt.json",
+                                                          "masklets.json", "o.json"]
+
+
+def test_failed_synth_leaves_existing_outputs_as_they_were(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    (out_dir / "corruption.json").mkdir(parents=True)
+    (out_dir / "gt.json").write_text("old gt\n")
+    code, _ = run_synth(tmp_path, synth_spec())
+    assert code == 1
+    err = one_line_error(capsys)
+    assert err == {"type": "IsADirectoryError",
+                   "message": f"[Errno 21] Is a directory: '{out_dir / 'corruption.json'}'"}
+    assert sorted(os.listdir(out_dir)) == ["corruption.json", "gt.json"]
+    assert (out_dir / "gt.json").read_text() == "old gt\n"
+
+
 def test_ablate_whose_json_out_fails_prints_no_table(tmp_path, capsys):
     # The whole table used to be printed before the failed write.
     paths, _ = write_fig2_tree(tmp_path)
@@ -621,6 +650,11 @@ REJECTED = [
                  "maskfuse eval: the following arguments are required: --gt", id="missing-flag"),
     pytest.param([*REFINE, "--bogus"], "maskfuse refine: unrecognized arguments: --bogus",
                  id="unknown-flag"),
+    pytest.param(["--bogus", "eval", "--pred", "x", "--gt", "y"],
+                 "maskfuse: unrecognized arguments: --bogus", id="unknown-flag-before-subcommand"),
+    pytest.param(["eval", "--pred", "x", "--gt", "y", "--bogus"],
+                 "maskfuse eval: unrecognized arguments: --bogus",
+                 id="unknown-flag-after-subcommand"),
     pytest.param([*REFINE, "--tau", "-Infinity"],
                  "maskfuse refine: argument --tau: expected one argument", id="flag-like-value"),
 ]

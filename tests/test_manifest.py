@@ -4,8 +4,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import maskfuse.manifest
+import oracles
 from conftest import SEQUENCE_FORMS, rand_mask, sequence_as
 from maskfuse import (
     ManifestIntegrityError,
@@ -24,7 +27,7 @@ from maskfuse import (
     save_manifest,
     sequence_manifest,
 )
-from maskfuse.manifest import SEQUENCE_KINDS, manifest_to_json_dict
+from maskfuse.manifest import KINDS, SEQUENCE_KINDS
 from maskfuse.masks import MAX_MASK_PIXELS
 
 
@@ -61,14 +64,97 @@ def test_sequence_save_load_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("form", SEQUENCE_FORMS)
-def test_sequence_manifest_wraps_every_sequence_form_alike(form):
+def test_sequence_manifest_wraps_every_sequence_form_alike(tmp_path, form):
     rng = np.random.default_rng(4)
     frames = [rand_mask(rng, 3, 5) for _ in range(4)]
-    expected = manifest_to_json_dict(
-        sequence_manifest("v", "refined", MaskSequence(frames=frames)))
+    expected, path = tmp_path / "expected.json", tmp_path / f"{form}.json"
+    save_manifest(expected, sequence_manifest("v", "refined", MaskSequence(frames=frames)))
     manifest = sequence_manifest("v", "refined", sequence_as(form, frames))
     assert type(manifest.data) is MaskSequence
-    assert manifest_to_json_dict(manifest) == expected
+    save_manifest(path, manifest)
+    assert path.read_bytes() == expected.read_bytes()
+
+
+# --- the streaming writer against json.dumps ----------------------------------------
+
+def dict_form(video_id: str, kind: str, tracks: list, num_frames: int, height: int,
+              width: int) -> dict:
+    """The dict a saved manifest is ``json.dumps(indent=2)`` of, its counts from the oracle."""
+    def rles(frames):
+        return [{"h": height, "w": width,
+                 "counts": oracles.rle_counts_naive(oracles.to_grid(f))} for f in frames]
+
+    out = {"video_id": video_id, "kind": kind, "height": height, "width": width,
+           "num_frames": num_frames}
+    if kind == "masklets":
+        out["instances"] = {str(iid): rles(frames) for iid, frames in enumerate(tracks, start=1)}
+    else:
+        out["frames"] = rles(tracks[0])
+    return out
+
+
+def assert_writer_matches_json_dumps(video_id, kind, tracks, num_frames, height, width):
+    if kind == "masklets":
+        data = MaskletSet(tracks=[MaskSequence(frames=t) for t in tracks],
+                          num_frames=num_frames, height=height, width=width)
+    else:
+        data = MaskSequence(frames=tracks[0])
+    manifest = VideoManifest(video_id=video_id, kind=kind, data=data)
+    expected = json.dumps(dict_form(video_id, kind, tracks, num_frames, height, width),
+                          indent=2) + "\n"
+    assert "".join(maskfuse.manifest._manifest_chunks(manifest)) == expected
+
+
+@st.composite
+def manifests(draw):
+    kind = draw(st.sampled_from(KINDS))
+    height, width = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    num_frames = draw(st.integers(1, 3))
+    sequences = draw(st.integers(0, 3)) if kind == "masklets" else 1
+    frame = st.lists(st.booleans(), min_size=height * width, max_size=height * width).map(
+        lambda bits: np.array(bits, dtype=bool).reshape(height, width))
+    tracks = draw(st.lists(st.lists(frame, min_size=num_frames, max_size=num_frames),
+                           min_size=sequences, max_size=sequences))
+    return draw(st.text(max_size=6)), kind, tracks, num_frames, height, width
+
+
+@given(manifests())
+@settings(max_examples=200, deadline=None)
+@example(("v", "masklets", [], 2, 3, 4))
+def test_the_writer_gives_what_json_dumps_gives(case):
+    assert_writer_matches_json_dumps(*case)
+
+
+def frames_with(height, width, *pixels):
+    """One frame per pixel listed, each foreground only there, and an empty and a full frame."""
+    frames = [np.zeros((height, width), dtype=bool), np.ones((height, width), dtype=bool)]
+    for y, x in pixels:
+        frames.append(np.zeros((height, width), dtype=bool))
+        frames[-1][y, x] = True
+    return frames
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("height, width", [(1, 1), (1, 6), (5, 1), (4, 7)])
+def test_the_writer_gives_what_json_dumps_gives_on_thin_masks_and_end_pixels(kind, height,
+                                                                              width):
+    frames = frames_with(height, width, (0, 0), (height - 1, width - 1))
+    tracks = [frames, frames[::-1]] if kind == "masklets" else [frames]
+    assert_writer_matches_json_dumps("v", kind, tracks, len(frames), height, width)
+
+
+def test_the_writer_orders_instance_keys_by_number_and_escapes_the_video_id(tmp_path):
+    # Twelve instances, so "10" must follow "9" (not "1", as sorted strings would).
+    rng = np.random.default_rng(5)
+    tracks = [[rand_mask(rng, 3, 4) for _ in range(2)] for _ in range(12)]
+    video_id = 'vidéo "x" \\ \x01 \u2603'
+    assert_writer_matches_json_dumps(video_id, "masklets", tracks, 2, 3, 4)
+    path = tmp_path / "m.json"
+    save_manifest(path, masklet_manifest(video_id, MaskletSet(
+        tracks=[MaskSequence(frames=t) for t in tracks])))
+    assert list(json.loads(path.read_text())["instances"]) == [str(i) for i in range(1, 13)]
+    assert load_manifest(path).video_id == video_id
+    assert path.read_text().isascii()
 
 
 def test_sequence_manifest_rejects_ragged_frames():
@@ -236,6 +322,17 @@ def test_kind_guards(tmp_path):
         f"{m_path}: kind 'masklets' where a coarse/refined/gt manifest is required")
     # The default takes every kind.
     assert load_manifest(seq_path).kind == "gt" and load_manifest(m_path).kind == "masklets"
+
+
+@pytest.mark.parametrize("kinds", ["masklets_and_gt", "gt", "", ("gt", "scores"), ["Gt"]])
+def test_kinds_must_name_kinds_and_not_be_a_string(tmp_path, kinds):
+    # A str used to be tested by substring, so "masklets_and_gt" loaded a gt file.
+    path = tmp_path / "gt.json"
+    save_manifest(path, sequence_manifest("v", "gt", [np.zeros((2, 2), dtype=bool)]))
+    with pytest.raises(ValueError, match="^kinds must be a collection of names from"):
+        load_manifest(path, kinds=kinds)
+    assert load_manifest(path, kinds=["gt"]).kind == "gt"
+    assert load_manifest(path, kinds=(k for k in ["refined", "gt"])).kind == "gt"
 
 
 @pytest.mark.parametrize("rest", [

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -210,6 +210,35 @@ def test_rle_counts_match_naive_scanner():
         h, w = rng.integers(1, 17, size=2)
         m = rand_mask(rng, h, w, p=rng.choice([0.1, 0.5, 0.9]))
         assert list(rle_encode(m).counts) == oracles.rle_counts_naive(oracles.to_grid(m))
+
+
+@st.composite
+def banded_masks(draw):
+    """Masks whose foreground, if any, lies in a band of rows that may touch
+    the first or the last row, or cover every row or none."""
+    h, w = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    top = draw(st.integers(0, h))
+    bottom = draw(st.integers(top, h))
+    fill = draw(st.sampled_from(["random", "empty", "full"]))
+    m = np.zeros((h, w), dtype=bool)
+    if fill == "full":
+        m[top:bottom] = True
+    elif fill == "random":
+        bits = draw(st.lists(st.booleans(), min_size=(bottom - top) * w,
+                             max_size=(bottom - top) * w))
+        m[top:bottom] = np.array(bits, dtype=bool).reshape(bottom - top, w)
+    return m
+
+
+@given(banded_masks())
+@settings(max_examples=300, deadline=None)
+@example(np.zeros((3, 4), dtype=bool))
+@example(np.ones((3, 4), dtype=bool))
+@example(np.array([[1, 0, 1], [0, 0, 0], [0, 0, 0]], dtype=bool))
+@example(np.array([[0, 0, 0], [0, 0, 0], [1, 0, 1]], dtype=bool))
+@example(np.array([[0, 0, 0], [0, 0, 0], [0, 0, 1]], dtype=bool))
+def test_rle_encode_equals_the_naive_scanner_on_banded_masks(m):
+    assert list(rle_encode(m).counts) == oracles.rle_counts_naive(oracles.to_grid(m))
 
 
 def test_rle_decode_inverts_encode():

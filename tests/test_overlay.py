@@ -105,3 +105,24 @@ def test_failed_export_removes_what_it_wrote(tmp_path, monkeypatch, existing):
         assert os.listdir(out_dir) == ["notes.txt"]
     else:
         assert not out_dir.exists()
+
+
+def test_failed_export_leaves_existing_frames_as_they_were(tmp_path, monkeypatch):
+    # A frame file from an earlier export used to be overwritten, then removed.
+    out_dir = tmp_path / "frames"
+    out_dir.mkdir()
+    (out_dir / "00001.pgm").write_bytes(b"old")
+    real_write = maskfuse.overlay.write_pgm
+    calls = []
+
+    def write_pgm(path, mask):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        real_write(path, mask)
+
+    monkeypatch.setattr(maskfuse.overlay, "write_pgm", write_pgm)
+    with pytest.raises(OSError, match="disk full"):
+        export_overlay([np.ones((2, 3), dtype=bool)] * 3, out_dir)
+    assert os.listdir(out_dir) == ["00001.pgm"]
+    assert (out_dir / "00001.pgm").read_bytes() == b"old"
