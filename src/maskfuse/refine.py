@@ -23,7 +23,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import AlignmentError
-from .masks import Mask, area, intersection_area, make_mask, require_int, require_real, union
+from .masks import (Mask, area, intersection_area, make_mask, require_int, require_real,
+                    require_same_shape, union)
 
 # Supported policies for breaking ties between equally frequent combinations.
 TIE_BREAK_POLICIES = ("earliest", "smallest")
@@ -246,12 +247,16 @@ def overlap_fraction(instance_mask: Mask, frame_mask: Mask) -> float:
     """Fraction of the instance's pixels covered by the frame mask.
 
     Zero when the instance mask is empty (an absent instance never passes
-    the gate).
+    the gate). Both masks are read only from the instance's first foreground
+    pixel (row-major) on.
     """
-    instance_px = area(instance_mask)
-    if instance_px == 0:
+    require_same_shape(instance_mask, frame_mask)
+    inst = np.ravel(np.asarray(instance_mask, dtype=bool))
+    first = int(inst.argmax())  # stops at the first True
+    if not inst[first]:
         return 0.0
-    return intersection_area(instance_mask, frame_mask) / instance_px
+    inst = inst[first:]
+    return intersection_area(inst, np.ravel(frame_mask)[first:]) / area(inst)
 
 
 def gate(coarse: MaskSequence, tracked: MaskletSet) -> tuple[tuple[float, ...], ...]:

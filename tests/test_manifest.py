@@ -32,7 +32,8 @@ from maskfuse.masks import MAX_MASK_PIXELS
 
 
 def rle_obj(mask) -> dict:
-    return rle_encode(np.asarray(mask, dtype=bool)).to_json_dict()
+    rle = rle_encode(np.asarray(mask, dtype=bool))
+    return {"h": rle.height, "w": rle.width, "counts": list(rle.counts)}
 
 
 def write_json(path, obj) -> str:

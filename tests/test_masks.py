@@ -249,6 +249,27 @@ def test_rle_decode_inverts_encode():
         assert np.array_equal(rle_decode(rle_encode(m)), m)
 
 
+@given(banded_masks())
+@settings(max_examples=300, deadline=None)
+@example(np.zeros((1, 1), dtype=bool))
+@example(np.ones((1, 1), dtype=bool))
+@example(np.zeros((3, 4), dtype=bool))
+@example(np.ones((3, 4), dtype=bool))
+# 1xW, foreground on the first pixel (counts[0] == 0) and on the last (even count)
+@example(np.array([[1, 0, 0, 1, 1]], dtype=bool))
+# Hx1, a trailing background run (odd count)
+@example(np.array([[0], [1], [1], [0]], dtype=bool))
+@example(np.array([[0, 0, 0], [0, 1, 0], [0, 0, 0]], dtype=bool))
+def test_rle_decode_of_the_naive_counts_is_the_grid(m):
+    grid = oracles.to_grid(m)
+    h, w = m.shape
+    decoded = rle_decode(RleMask(h, w, oracles.rle_counts_naive(grid)))
+    assert decoded.dtype == np.bool_ and decoded.shape == (h, w)
+    assert decoded.flags.c_contiguous and decoded.flags.writeable
+    assert make_mask(decoded) is decoded
+    assert oracles.to_grid(decoded) == grid
+
+
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_rle_roundtrip_property(data):
@@ -304,7 +325,7 @@ def test_rle_accepts_numpy_integer_counts(counts):
 
 def test_rle_numpy_counts_serialise_as_json():
     rle = RleMask(height=2, width=2, counts=(np.int64(1), np.int64(3)))
-    assert json.dumps(rle.to_json_dict()) == '{"h": 2, "w": 2, "counts": [1, 3]}'
+    assert json.dumps(list(rle.counts)) == "[1, 3]"
     assert all(type(c) is int for c in rle.counts)
 
 
@@ -316,7 +337,7 @@ def test_rle_leading_zero_is_allowed_only_first():
 def test_rle_json_roundtrip():
     m = mask_from_rows(".#.#", "##..")
     rle = rle_encode(m)
-    again = RleMask.from_json_dict(rle.to_json_dict())
+    again = RleMask.from_json_dict({"h": rle.height, "w": rle.width, "counts": list(rle.counts)})
     assert again == rle
     assert np.array_equal(rle_decode(again), m)
 

@@ -12,6 +12,7 @@ from maskfuse import (
     MaskSequence,
     RefineConfig,
     RefinedSequence,
+    ShapeMismatchError,
     empty_mask,
     fig2_scenario,
     generate,
@@ -198,6 +199,37 @@ def test_overlap_fraction_matches_oracle():
         frame = rand_mask(rng, h, w, p=0.6)
         assert overlap_fraction(inst, frame) == oracles.overlap_fraction_grid(
             oracles.to_grid(inst), oracles.to_grid(frame))
+
+
+def _last_pixel_only(h, w):
+    m = np.zeros((h, w), dtype=bool)
+    m[-1, -1] = True
+    return m
+
+
+@pytest.mark.parametrize("inst, frame", [
+    (_last_pixel_only(3, 4), np.ones((3, 4), dtype=bool)),
+    (_last_pixel_only(3, 4), ~_last_pixel_only(3, 4)),
+    (_last_pixel_only(1, 1), np.ones((1, 1), dtype=bool)),
+    (empty_mask(3, 4), np.ones((3, 4), dtype=bool)),
+    (np.array([[0, 2], [2, 2]], dtype=np.uint8), np.array([[2, 0], [2, 0]], dtype=np.uint8)),
+    # The largest value is not the first foreground pixel.
+    (np.array([[1, 0], [2, 0]], dtype=np.uint8), np.array([[1, 0], [0, 0]], dtype=np.uint8)),
+    (rand_mask(np.random.default_rng(8), 5, 7, p=0.4).T,
+     rand_mask(np.random.default_rng(9), 5, 7, p=0.6).T),
+], ids=["last-pixel-covered", "last-pixel-uncovered", "1x1", "empty", "uint8",
+        "uint8-max-later", "transposed"])
+def test_overlap_fraction_equals_the_oracle_as_a_float(inst, frame):
+    got = overlap_fraction(inst, frame)
+    assert type(got) is float
+    assert got == oracles.overlap_fraction_grid(oracles.to_grid(inst), oracles.to_grid(frame))
+
+
+def test_overlap_fraction_checks_the_shapes_even_of_an_empty_instance():
+    with pytest.raises(ShapeMismatchError):
+        overlap_fraction(np.zeros((2, 2), bool), np.ones((3, 3), bool))
+    with pytest.raises(ShapeMismatchError):
+        overlap_fraction(np.ones((2, 2), bool), np.ones((3, 3), bool))
 
 
 def test_gate_keeps_well_covered_instance_and_drops_the_other():
