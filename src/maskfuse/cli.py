@@ -163,7 +163,7 @@ def _cmd_ablate(args) -> int:
         keys = list(enumerate(refined.report.winners()))
         new = [t for t, key in enumerate(keys) if key not in scores]
         if new:
-            fresh = evaluate_sequence([refined[t] for t in new], [gt[t] for t in new])
+            fresh = evaluate_sequence([refined.rles[t] for t in new], [gt.rles[t] for t in new])
             scores.update(zip((keys[t] for t in new), zip(fresh.per_frame_j, fresh.per_frame_f)))
         j, f = zip(*(scores[key] for key in keys))
         rows.append({"method": "refined", "window": cfg.window, **EvalResult(j, f).summary()})

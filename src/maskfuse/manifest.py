@@ -21,9 +21,11 @@ manifest. Its text is ``json.dumps(<the manifest as a dict>, indent=2)`` and a
 newline, but neither that text nor that dict is ever built whole. The file gets
 the mode a plain ``open(path, "w")`` would give it, ``0o666`` less the umask.
 
+Reading keeps each frame as the validated ``RleMask`` it parses to, and
+writing streams the stored counts: neither decodes nor encodes a mask.
 A manifest of a kind the caller did not ask for, or whose frames would exceed
-the mask budget (``masks.require_mask_budget``), is rejected before any mask
-data is decoded, and so is a JSON object that repeats a key.
+the mask budget (``masks.require_mask_budget``), is rejected before any RLE
+object is validated, and so is a JSON object that repeats a key.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ from .errors import (
     ManifestSchemaError,
     RleFormatError,
 )
-from .masks import Mask, RleMask, require_int, require_mask_budget, rle_decode, rle_encode
+from .masks import RleMask, require_int, require_mask_budget
+from .masks import rle_decode, rle_encode  # noqa: F401  not called here; perfbench/tracer.py binds them
 from .refine import MaskletSet, MaskSequence
 
 KINDS = ("coarse", "masklets", "refined", "gt")
@@ -103,8 +106,7 @@ def _rle_list_chunks(sequence: MaskSequence, indent: str):
     whose opening line is indented by ``indent``: one chunk per frame."""
     item, key, value = indent + "  ", indent + "    ", indent + "      "
     separator = "[\n"
-    for frame in sequence.frames:
-        rle = rle_encode(frame)
+    for rle in sequence.rles:
         counts = f",\n{value}".join(map(str, rle.counts))
         yield (f'{separator}{item}{{\n{key}"h": {rle.height},\n{key}"w": {rle.width},\n'
                f'{key}"counts": [\n{value}{counts}\n{key}]\n{item}}}')
@@ -182,7 +184,7 @@ def write_json_atomic(path, obj) -> None:
 
 
 def save_manifest(path, manifest: VideoManifest) -> None:
-    """Write a manifest to ``path`` atomically, one frame at a time."""
+    """Write a manifest to ``path`` atomically, one frame at a time, from the stored runs."""
     _write_atomic(path, _manifest_chunks(manifest))
 
 
@@ -213,8 +215,8 @@ def read_json(path, error: type[Exception], duplicate_error: type[Exception]):
 
 
 def _frames_from_json(entries, instance: int | None, num_frames: int, height: int,
-                     width: int, path) -> list[Mask]:
-    """Decode one frame list: ``frames``, or instance ``instance``'s list of a masklet set."""
+                     width: int, path) -> list[RleMask]:
+    """Validate one frame list: ``frames``, or instance ``instance``'s list of a masklet set."""
     name = "'frames'" if instance is None else f"instance {instance}"
     if not isinstance(entries, list):
         raise ManifestSchemaError(f"{path}: {name} must be a list of RLE objects")
@@ -234,7 +236,7 @@ def _frames_from_json(entries, instance: int | None, num_frames: int, height: in
                 f"{path}: {where}: RLE is {rle.height}x{rle.width}, "
                 f"manifest header says {height}x{width}"
             )
-        frames.append(rle_decode(rle))
+        frames.append(rle)
     return frames
 
 

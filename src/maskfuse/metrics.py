@@ -41,6 +41,9 @@ from .refine import MaskSequence, require_aligned
 
 region_j = iou
 
+# Rows per step of the upward search for a mask's last foreground row.
+ROW_BLOCK = 32
+
 
 def default_boundary_tolerance(height: int, width: int) -> int:
     """Matching tolerance in pixels: 0.8% of the image diagonal, at least 1."""
@@ -80,6 +83,21 @@ def _chebyshev_zone(mask: Mask, radius: int) -> Mask:
     return zone[:height, :width]
 
 
+def _row_span(mask: Mask) -> tuple[int, int] | None:
+    """The first row holding foreground and one past the last, or None for an
+    empty mask. ``argmax`` stops at the first foreground pixel; the last row is
+    searched for upward from the bottom, ``ROW_BLOCK`` rows at a time."""
+    flat = mask.reshape(-1)
+    first = int(flat.argmax())
+    if not flat[first]:
+        return None
+    top, bottom = first // mask.shape[1], mask.shape[0]
+    while not mask[max(bottom - ROW_BLOCK, top):bottom].any():  # stops at row top at the latest
+        bottom -= ROW_BLOCK
+    start = max(bottom - ROW_BLOCK, top)
+    return top, start + int(np.flatnonzero(mask[start:bottom].any(axis=1))[-1]) + 1
+
+
 def boundary_f(pred: Mask, gt: Mask, tolerance_px: int | None = None) -> float:
     """Boundary F-measure between a predicted and a ground-truth mask.
 
@@ -96,11 +114,12 @@ def boundary_f(pred: Mask, gt: Mask, tolerance_px: int | None = None) -> float:
     if tolerance_px is None:
         tolerance_px = default_boundary_tolerance(*pred.shape)
     tolerance_px = require_int(tolerance_px, "tolerance_px", 1)
-    rows = np.flatnonzero(pred.any(axis=1) | gt.any(axis=1))
-    if rows.size == 0:
+    spans = [span for span in map(_row_span, (pred, gt)) if span]
+    if not spans:
         return 1.0
-    cols = np.flatnonzero(pred.any(axis=0) | gt.any(axis=0))
-    box = (slice(max(rows[0] - 1, 0), rows[-1] + 2),
+    top, bottom = min(s[0] for s in spans), max(s[1] for s in spans)
+    cols = np.flatnonzero(pred[top:bottom].any(axis=0) | gt[top:bottom].any(axis=0))
+    box = (slice(max(top - 1, 0), bottom + 1),
            slice(max(cols[0] - 1, 0), cols[-1] + 2))
     pred_b = mask_boundary(pred[box])
     gt_b = mask_boundary(gt[box])
@@ -188,7 +207,7 @@ def evaluate_sequence(pred, gt) -> EvalResult:
     tolerance = default_boundary_tolerance(pred.height, pred.width)
     per_j = []
     per_f = []
-    for p, g in zip(pred.frames, gt.frames):
+    for p, g in zip(pred, gt):  # one decoded pair at a time
         per_j.append(region_j(p, g))
         per_f.append(boundary_f(p, g, tolerance))
     return EvalResult(per_j, per_f)

@@ -37,9 +37,9 @@ def export_overlay(sequence, out_dir) -> list[str]:
     is left as it was, and a directory this call created is removed
     (``manifest.staged_outputs``).
     """
-    frames = MaskSequence(frames=sequence).frames
+    frames = MaskSequence(frames=sequence)
     paths = [os.path.join(out_dir, f"{index:05d}.pgm") for index in range(1, len(frames) + 1)]
     with staged_outputs(out_dir) as stage:
-        for path, mask in zip(paths, frames):
+        for path, mask in zip(paths, frames):  # one decoded frame at a time
             write_pgm(stage(path), mask)
     return paths

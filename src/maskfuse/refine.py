@@ -23,8 +23,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import AlignmentError
-from .masks import (Mask, area, intersection_area, make_mask, require_int, require_real,
-                    require_same_shape, union)
+from .masks import (Mask, RleMask, area, intersection_area, require_int, require_real,
+                    require_same_shape, rle_decode, rle_encode)
+from .masks import union  # noqa: F401  not called here; perfbench/tracer.py binds refine.union
 
 # Supported policies for breaking ties between equally frequent combinations.
 TIE_BREAK_POLICIES = ("earliest", "smallest")
@@ -33,53 +34,66 @@ DEFAULT_WINDOW = 15
 DEFAULT_TAU = 0.8
 
 
-@dataclass(frozen=True, eq=False)
 class MaskSequence:
     """An ordered run of same-sized binary masks (one per video frame).
 
-    ``frames`` may be any non-empty iterable of 2-D masks, including another
-    mask sequence; this constructor is the one place such an iterable becomes
-    a sequence. Frames that already are contiguous bool arrays are kept as
-    the same objects, not copied. Ragged or non-2-D frames raise ``ValueError``.
+    ``frames`` may be any non-empty iterable of 2-D masks or :class:`RleMask`
+    objects, including another mask sequence; this constructor is the one place
+    such an iterable becomes a sequence. The sequence stores each frame's runs
+    (``rles``), not its pixels: a dense frame is encoded once and not kept, an
+    ``RleMask`` is kept as it is, and another sequence's runs are shared, with
+    no decode and no re-encode. Indexing, iteration and ``frames`` decode on
+    access, so each read gives a new array. Ragged or non-2-D frames raise
+    ``ValueError``.
     """
 
-    frames: tuple[Mask, ...]
-
-    def __post_init__(self) -> None:
-        frames = tuple(make_mask(f) for f in self.frames)
-        if not frames:
+    def __init__(self, frames) -> None:
+        if isinstance(frames, MaskSequence):
+            self.rles = frames.rles
+            return
+        rles: list[RleMask] = []
+        for idx, frame in enumerate(frames, start=1):
+            rles.append(frame if isinstance(frame, RleMask) else rle_encode(frame))
+            shape, expected = (rles[-1].height, rles[-1].width), (rles[0].height, rles[0].width)
+            if shape != expected:
+                raise ValueError(f"frame {idx} has shape {shape}, expected {expected} from frame 1")
+        if not rles:
             raise ValueError("a mask sequence needs at least one frame")
-        shape = frames[0].shape
-        for idx, f in enumerate(frames, start=1):
-            if f.shape != shape:
-                raise ValueError(
-                    f"frame {idx} has shape {f.shape}, expected {shape} from frame 1"
-                )
-        object.__setattr__(self, "frames", frames)
+        self.rles: tuple[RleMask, ...] = tuple(rles)
+
+    @property
+    def frames(self) -> tuple[Mask, ...]:
+        """Every frame, decoded."""
+        return self[:]
 
     @property
     def num_frames(self) -> int:
-        return len(self.frames)
+        return len(self.rles)
 
     @property
     def height(self) -> int:
-        return self.frames[0].shape[0]
+        return self.rles[0].height
 
     @property
     def width(self) -> int:
-        return self.frames[0].shape[1]
+        return self.rles[0].width
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.rles)
 
-    def __getitem__(self, index: int) -> Mask:
-        return self.frames[index]
+    def __getitem__(self, index):
+        """Frame ``index``, decoded; a tuple of decoded frames for a slice."""
+        if isinstance(index, slice):
+            return tuple(map(rle_decode, self.rles[index]))
+        return rle_decode(self.rles[index])
+
+    def __iter__(self):
+        return map(rle_decode, self.rles)
 
     def equals(self, other: "MaskSequence") -> bool:
-        """True when both sequences match frame by frame, pixel by pixel."""
-        if self.num_frames != other.num_frames:
-            return False
-        return all(np.array_equal(a, b) for a, b in zip(self.frames, other.frames))
+        """True when both sequences match frame by frame, pixel by pixel. Runs
+        are canonical (see ``masks``), so this compares the runs."""
+        return self.rles == other.rles
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +142,7 @@ class MaskletSet:
         for an id outside ``1..num_instances``."""
         if not 1 <= instance_id <= len(self.tracks):
             raise KeyError(instance_id)
-        return self.tracks[instance_id - 1].frames[frame_index]
+        return self.tracks[instance_id - 1][frame_index]
 
 
 def require_aligned(a, b, a_name: str, b_name: str) -> None:
@@ -236,11 +250,12 @@ class RefineReport:
         return tuple(w.selected for w in self.windows for _ in range(w.start, w.stop))
 
 
-@dataclass(frozen=True, eq=False)
 class RefinedSequence(MaskSequence):
     """Refined frames plus the trace of how they were produced."""
 
-    report: RefineReport
+    def __init__(self, frames, report: RefineReport) -> None:
+        super().__init__(frames)
+        self.report = report
 
 
 def overlap_fraction(instance_mask: Mask, frame_mask: Mask) -> float:
@@ -248,7 +263,7 @@ def overlap_fraction(instance_mask: Mask, frame_mask: Mask) -> float:
 
     Zero when the instance mask is empty (an absent instance never passes
     the gate). Both masks are read only from the instance's first foreground
-    pixel (row-major) on.
+    pixel (row-major) on. :func:`gate` computes the same fractions from runs.
     """
     require_same_shape(instance_mask, frame_mask)
     inst = np.ravel(np.asarray(instance_mask, dtype=bool))
@@ -259,13 +274,98 @@ def overlap_fraction(instance_mask: Mask, frame_mask: Mask) -> float:
     return intersection_area(inst, np.ravel(frame_mask)[first:]) / area(inst)
 
 
+def _intervals(rles) -> tuple[np.ndarray, np.ndarray]:
+    """The foreground runs of consecutive frames as sorted half-open intervals
+    ``[starts, ends)`` of flat positions, frame ``k`` starting at ``k * H * W``.
+    One ``cumsum`` over every count gives these positions, because each
+    frame's counts sum to ``H * W``."""
+    flat: list[int] = []
+    for rle in rles:
+        flat += rle.counts
+    counts = np.array(flat, dtype=np.int64)
+    lengths = np.array([len(rle.counts) for rle in rles])
+    ends = np.cumsum(counts)
+    # Runs alternate background, foreground, ... from each frame's first count.
+    offset = np.arange(counts.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    foreground = offset % 2 == 1
+    return ends[foreground] - counts[foreground], ends[foreground]
+
+
+def _rles_from_intervals(starts, ends, num_frames: int, height: int,
+                         width: int) -> tuple[RleMask, ...]:
+    """The frames whose foreground is the sorted, disjoint, non-adjacent
+    intervals ``[starts, ends)`` of flat positions (as :func:`_intervals`
+    gives them), as counts: each frame's are the gaps between its first pixel,
+    its interval ends and its last pixel, without a trailing 0."""
+    size = height * width
+    frame = starts // size
+    first = np.searchsorted(frame, np.arange(num_frames + 1))  # each frame's first interval
+    # Frame t's first pixel, then its intervals' ends, then frame t + 1's first pixel.
+    at = np.arange(num_frames + 1) + 2 * first
+    points = np.empty(2 * starts.size + num_frames + 1, dtype=np.int64)
+    points[at] = np.arange(num_frames + 1) * size
+    slots = frame + 1 + 2 * np.arange(starts.size)
+    points[slots], points[slots + 1] = starts, ends
+    counts, at = np.diff(points).tolist(), at.tolist()
+    out = []
+    for lo, hi in zip(at, at[1:]):
+        frame_counts = counts[lo:hi]
+        if not frame_counts[-1]:  # the frame ends in foreground: no background run after it
+            frame_counts.pop()
+        out.append(RleMask(height=height, width=width, counts=tuple(frame_counts)))
+    return tuple(out)
+
+
+def _union(tracks, start: int, stop: int) -> tuple[RleMask, ...]:
+    """Frames ``start`` to ``stop`` of the union of the mask sequences ``tracks``."""
+    first = tracks[0]
+    parts = [_intervals(seq.rles[start:stop]) for seq in tracks]
+    starts = np.concatenate([s for s, _ in parts])
+    order = np.argsort(starts, kind="stable")
+    starts, ends = starts[order], np.concatenate([e for _, e in parts])[order]
+    # An interval joins the one before it when it starts within the reach of
+    # the intervals so far (adjacent ones too), unless it is in a later frame.
+    reach = np.maximum.accumulate(ends)
+    frame = starts // (first.height * first.width)
+    new = np.ones(starts.size, dtype=bool)
+    new[1:] = (starts[1:] > reach[:-1]) | (frame[1:] != frame[:-1])
+    last = np.ones(starts.size, dtype=bool)
+    last[:-1] = new[1:]
+    return _rles_from_intervals(starts[new], reach[last], stop - start,
+                                first.height, first.width)
+
+
 def gate(coarse: MaskSequence, tracked: MaskletSet) -> tuple[tuple[float, ...], ...]:
     """The (T, N) table of overlap fractions: one row per frame, in instance-id
-    order. It depends on neither ``window`` nor ``tau``."""
+    order. It depends on neither ``window`` nor ``tau``. Each entry is the
+    Python float :func:`overlap_fraction` gives for the decoded frames, computed
+    from the runs: the area and the coarse-covered part of every instance
+    interval, summed per frame."""
     require_aligned(coarse, tracked, "coarse sequence", "masklets")
-    return tuple(tuple(overlap_fraction(tracked.frame(iid, t), frame)
-                       for iid in range(1, tracked.num_instances + 1))
-                 for t, frame in enumerate(coarse.frames))
+    num_frames, size = coarse.num_frames, coarse.height * coarse.width
+    starts, ends = _intervals(coarse.rles)
+    # A sentinel interval past the last position keeps every searched index valid.
+    starts, ends = np.append(starts, num_frames * size + 1), np.append(ends, num_frames * size + 1)
+    below = np.concatenate(([0], np.cumsum(ends - starts)))
+
+    def covered(x):
+        """Coarse foreground pixels before each flat position in ``x``: the
+        intervals that end by it, and the part of the next one before it."""
+        j = np.searchsorted(ends, x, side="right")
+        return below[j] + np.maximum(x - starts[j], 0)
+
+    columns = []
+    for track in tracked.tracks:
+        s, e = _intervals(track.rles)
+        frame = s // size
+        # Sums of integers below 2**53 are exact as floats, and so is their
+        # quotient's rounding: it equals Python's int / int.
+        area_px = np.bincount(frame, weights=e - s, minlength=num_frames)
+        inter_px = np.bincount(frame, weights=covered(e) - covered(s), minlength=num_frames)
+        columns.append(np.divide(inter_px, area_px, out=np.zeros(num_frames),
+                                 where=area_px > 0))
+    table = np.column_stack(columns) if columns else np.zeros((num_frames, 0))
+    return tuple(map(tuple, table.tolist()))
 
 
 def select_combination(combinations, tie_break: str = "earliest") -> tuple[int, ...]:
@@ -288,17 +388,19 @@ def select_combination(combinations, tie_break: str = "earliest") -> tuple[int, 
 
 
 def refine_window(coarse_frames, tracked: MaskletSet, cfg: RefineConfig,
-                  *, fractions, start: int = 0) -> tuple[tuple[Mask, ...], WindowRecord]:
+                  *, fractions, start: int = 0) -> tuple[MaskSequence, WindowRecord]:
     """Vote and rebuild one window of frames.
 
-    ``coarse_frames`` are the window's coarse masks; ``start`` is the index
-    of the first one within the full video (masklets are indexed by absolute
-    frame). ``fractions`` are the window's rows of the :func:`gate` table.
-    Returns the rebuilt frames and the window's trace record.
+    ``coarse_frames`` are the window's coarse frames (anything
+    :class:`MaskSequence` takes); ``start`` is the index of the first one
+    within the full video (masklets are indexed by absolute frame).
+    ``fractions`` are the window's rows of the :func:`gate` table. Returns
+    the rebuilt frames, built from the runs, and the window's trace record.
     """
-    n = tracked.num_instances
-    if len(fractions) != len(coarse_frames) or any(len(row) != n for row in fractions):
-        raise ValueError(f"fractions must be {len(coarse_frames)} rows of {n} values")
+    coarse_frames = MaskSequence(frames=coarse_frames)
+    n, count = tracked.num_instances, coarse_frames.num_frames
+    if len(fractions) != count or any(len(row) != n for row in fractions):
+        raise ValueError(f"fractions must be {count} rows of {n} values")
     # A row's i-th fraction (from 1) belongs to instance i; it survives above tau.
     records = [FrameRecord(index=start + offset, fractions=tuple(row),
                            combination=tuple(i for i, f in enumerate(row, start=1)
@@ -307,13 +409,11 @@ def refine_window(coarse_frames, tracked: MaskletSet, cfg: RefineConfig,
     selected = select_combination([r.combination for r in records], cfg.tie_break)
     if not selected:
         # Nothing survived the vote: pass the coarse frames through untouched.
-        out = tuple(coarse_frames)
+        out = coarse_frames
     else:
-        out = tuple(
-            union([tracked.frame(iid, start + offset) for iid in selected])
-            for offset in range(len(coarse_frames))
-        )
-    record = WindowRecord(start=start, stop=start + len(coarse_frames),
+        out = MaskSequence(frames=_union([tracked.tracks[iid - 1] for iid in selected],
+                                         start, start + count))
+    record = WindowRecord(start=start, stop=start + count,
                           selected=selected, frames=tuple(records))
     return out, record
 
@@ -342,12 +442,12 @@ def refine_video(coarse: MaskSequence, tracked: MaskletSet,
         if len(fractions) != coarse.num_frames:
             raise ValueError(f"fractions must have {coarse.num_frames} rows, got {len(fractions)}")
 
-    frames: list[Mask] = []
+    rles: list[RleMask] = []
     window_records = []
     for start, stop in window_spans(coarse.num_frames, cfg.window):
-        out_frames, record = refine_window(coarse.frames[start:stop], tracked, cfg,
-                                           start=start, fractions=fractions[start:stop])
-        frames.extend(out_frames)
+        out, record = refine_window(coarse.rles[start:stop], tracked, cfg,
+                                    start=start, fractions=fractions[start:stop])
+        rles.extend(out.rles)
         window_records.append(record)
     report = RefineReport(
         num_frames=coarse.num_frames,
@@ -355,4 +455,4 @@ def refine_video(coarse: MaskSequence, tracked: MaskletSet,
         config=cfg,
         windows=tuple(window_records),
     )
-    return RefinedSequence(frames=tuple(frames), report=report)
+    return RefinedSequence(frames=rles, report=report)

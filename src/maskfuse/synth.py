@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ScenarioError
 from .masks import (Mask, empty_mask, erode, is_int, require_int, require_mask_budget,
-                    require_real, union)
+                    require_real, rle_encode, union)
 from .refine import MaskletSet, MaskSequence, window_spans
 
 SHAPE_KINDS = ("rect", "disk")
@@ -238,15 +238,11 @@ class SynthResult:
 
 
 def generate(scenario: Scenario) -> SynthResult:
-    """Render a scenario. Same scenario, same bits — always."""
-    T, H, W = scenario.frames, scenario.height, scenario.width
-    masklets = MaskletSet(tracks=[[_render_track(track, t, H, W) for t in range(T)]
-                                  for track in scenario.instances])
-    gt_frames = tuple(
-        union([masklets.frame(iid, t) for iid in scenario.target])
-        for t in range(T)
-    )
+    """Render a scenario. Same scenario, same bits — always.
 
+    Frames are rendered one at a time: frame ``t``'s instance masks, ground
+    truth and coarse mask are encoded and dropped before frame ``t + 1``."""
+    T, H, W = scenario.frames, scenario.height, scenario.width
     spec = scenario.corruption
     rng = np.random.default_rng(scenario.seed)
     drops, adds = set(spec.forced_drops), set(spec.forced_adds)
@@ -255,24 +251,28 @@ def generate(scenario: Scenario) -> SynthResult:
         hits = np.argwhere(rng.random((T, len(ids))) < prob).tolist()
         events.update((t, ids[k]) for t, k in hits)
 
-    coarse_frames = []
+    tracks = [[] for _ in scenario.instances]
+    gt_frames, coarse_frames, corrupted = [], [], []
     for t in range(T):
-        parts = [masklets.frame(iid, t) for iid in scenario.target if (t, iid) not in drops]
-        parts += [masklets.frame(iid, t) for iid in scenario.non_target if (t, iid) in adds]
-        coarse = union(parts) if parts else empty_mask(H, W)
-        coarse_frames.append(erode(coarse, spec.boundary_erosion_px))
-
-    corrupted = tuple(
-        t for t in range(T) if not np.array_equal(coarse_frames[t], gt_frames[t])
-    )
+        masks = [_render_track(track, t, H, W) for track in scenario.instances]
+        gt = union([masks[iid - 1] for iid in scenario.target])
+        parts = [masks[iid - 1] for iid in scenario.target if (t, iid) not in drops]
+        parts += [masks[iid - 1] for iid in scenario.non_target if (t, iid) in adds]
+        coarse = erode(union(parts) if parts else empty_mask(H, W), spec.boundary_erosion_px)
+        if not np.array_equal(coarse, gt):
+            corrupted.append(t)
+        for track, mask in zip(tracks, masks):
+            track.append(rle_encode(mask))
+        gt_frames.append(rle_encode(gt))
+        coarse_frames.append(rle_encode(coarse))
     return SynthResult(
         scenario=scenario,
         gt=MaskSequence(frames=gt_frames),
-        masklets=masklets,
-        coarse=MaskSequence(frames=tuple(coarse_frames)),
+        masklets=MaskletSet(tracks=tracks),
+        coarse=MaskSequence(frames=coarse_frames),
         drops=tuple(sorted(drops)),
         adds=tuple(sorted(adds)),
-        corrupted_frames=corrupted,
+        corrupted_frames=tuple(corrupted),
     )
 
 

@@ -471,15 +471,16 @@ def test_a_wrong_kind_fails_every_role_before_any_frame_is_decoded(tmp_path, cap
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps(wrong_kind_payload("gt" if flag == "--tracked" else "masklets")))
     argv[argv.index(flag) + 1] = str(wrong)
-    decoded = []
-    real_decode = maskfuse.manifest.rle_decode
-    monkeypatch.setattr(maskfuse.manifest, "rle_decode",
-                        lambda rle: decoded.append((rle.height, rle.width)) or real_decode(rle))
+    # Loading validates each RLE object and decodes none, so count the validations.
+    read = []
+    parse = maskfuse.RleMask.from_json_dict
+    monkeypatch.setattr(maskfuse.RleMask, "from_json_dict",
+                        staticmethod(lambda obj: read.append((obj["h"], obj["w"])) or parse(obj)))
     assert main(argv) == 1
     printed, err = capsys.readouterr()
     assert printed == "" and len(err.splitlines()) == 1
     assert json.loads(err)["error"]["type"] == "ManifestKindError"
-    assert (3, 5) not in decoded  # fig2 frames are 24x48: no frame of the wrong file
+    assert (3, 5) not in read  # fig2 frames are 24x48: no frame of the wrong file
     assert not out.exists()
 
 

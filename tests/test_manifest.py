@@ -17,6 +17,7 @@ from maskfuse import (
     ManifestSchemaError,
     MaskletSet,
     MaskSequence,
+    RleMask,
     VideoManifest,
     empty_mask,
     fig2_scenario,
@@ -433,26 +434,26 @@ def test_duplicate_top_level_key_is_schema_error(tmp_path):
 
 
 def test_masklet_budget_counts_every_instance(tmp_path, monkeypatch):
-    decoded = []
+    validated = []
     side = 2**13  # 40 frames of 8192x8192 fit the budget once, not twice
-    # One shared, never-written frame: its pages are never touched, so the
-    # stub decodes the declared size without making it resident.
-    frame = np.zeros((side, side), dtype=bool)
-    monkeypatch.setattr(maskfuse.manifest, "rle_decode",
-                        lambda rle: decoded.append(rle) or frame)
+    parse = RleMask.from_json_dict
+    monkeypatch.setattr(RleMask, "from_json_dict",
+                        staticmethod(lambda obj: validated.append(obj) or parse(obj)))
     frames = [{"h": side, "w": side, "counts": [side * side]}] * 40
     payload = {
         "video_id": "v", "kind": "masklets", "height": side, "width": side,
         "num_frames": 40, "instances": {"1": frames},
     }
     assert 40 * side * side <= MAX_MASK_PIXELS < 2 * 40 * side * side
-    load_manifest(write_json(tmp_path / "one.json", payload))
-    assert len(decoded) == 40
-    decoded.clear()
+    # Loading keeps the runs and decodes nothing, so the declared size is never allocated.
+    data = load_manifest(write_json(tmp_path / "one.json", payload)).data
+    assert len(validated) == 40
+    assert data.tracks[0].rles == (RleMask(height=side, width=side, counts=(side * side,)),) * 40
+    validated.clear()
     payload["instances"]["2"] = frames
     with pytest.raises(ManifestIntegrityError, match=f"{side}x{side}"):
         load_manifest(write_json(tmp_path / "two.json", payload))
-    assert decoded == []
+    assert validated == []
 
 
 def test_video_manifest_makes_sequence_data_a_mask_sequence():

@@ -461,3 +461,18 @@ def test_evaluate_sequence_rejects_ragged_and_empty_input():
 def test_evaluate_sequence_frame_size_mismatch_is_alignment_error():
     with pytest.raises(AlignmentError, match="2x2.*2x3"):
         evaluate_sequence([empty_mask(2, 2)], [empty_mask(2, 3)])
+
+
+@pytest.mark.parametrize("height", [1, 31, 32, 33, 64, 65, 70])
+def test_boundary_f_finds_the_rows_at_every_block_edge(height):
+    # The last foreground row is searched for upward in blocks of ROW_BLOCK rows;
+    # put each mask's first and last rows at, beside and between block edges.
+    rows = sorted({0, 1, height // 2, height - 33, height - 32, height - 31, height - 2,
+                   height - 1} & set(range(height)))
+    for top, bottom in [(a, b) for a in rows for b in rows if a <= b]:
+        pred = np.zeros((height, 4), dtype=bool)
+        pred[top, 1] = pred[bottom, 2] = True
+        gt = np.zeros((height, 4), dtype=bool)
+        gt[(top + bottom) // 2, 0] = True
+        _assert_matches_references(pred, gt, 1)
+        _assert_matches_references(pred, np.zeros_like(pred), 1)
