@@ -10,6 +10,9 @@ Run-length layout (the interchange form):
 * counts alternate background/foreground starting with background,
 * the first count may be 0 (mask starts with foreground), every later
   count is >= 1, and the counts sum to ``height * width``.
+
+Only this module reads and writes that layout: the dense codec, and the flat
+foreground intervals of counts, which :func:`union_runs` unites with no pixels.
 """
 
 from __future__ import annotations
@@ -241,3 +244,62 @@ def rle_decode(rle: RleMask) -> Mask:
     band = np.repeat(values, runs)
     flat[counts[0]:counts[0] + band.size] = band
     return flat.reshape(rle.height, rle.width)
+
+
+def intervals(rles) -> tuple[np.ndarray, np.ndarray]:
+    """The foreground runs of consecutive frames as sorted half-open intervals
+    ``[starts, ends)`` of flat positions, frame ``k`` starting at ``k * H * W``.
+    One ``cumsum`` over every count gives these positions, because each
+    frame's counts sum to ``H * W``."""
+    flat: list[int] = []
+    for rle in rles:
+        flat += rle.counts
+    counts = np.array(flat, dtype=np.int64)
+    lengths = np.array([len(rle.counts) for rle in rles])
+    ends = np.cumsum(counts)
+    # Runs alternate background, foreground, ... from each frame's first count.
+    offset = np.arange(counts.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    foreground = offset % 2 == 1
+    return ends[foreground] - counts[foreground], ends[foreground]
+
+
+def rles_from_intervals(starts, ends, num_frames: int, height: int,
+                        width: int) -> tuple[RleMask, ...]:
+    """The frames whose foreground is the sorted, disjoint, non-adjacent
+    intervals ``[starts, ends)`` of flat positions (as :func:`intervals`
+    gives them), as counts: each frame's are the gaps between its first pixel,
+    its interval ends and its last pixel, without a trailing 0."""
+    size = height * width
+    frame = starts // size
+    first = np.searchsorted(frame, np.arange(num_frames + 1))  # each frame's first interval
+    # Frame t's first pixel, then its intervals' ends, then frame t + 1's first pixel.
+    at = np.arange(num_frames + 1) + 2 * first
+    points = np.empty(2 * starts.size + num_frames + 1, dtype=np.int64)
+    points[at] = np.arange(num_frames + 1) * size
+    slots = frame + 1 + 2 * np.arange(starts.size)
+    points[slots], points[slots + 1] = starts, ends
+    counts, at = np.diff(points).tolist(), at.tolist()
+    out = []
+    for lo, hi in zip(at, at[1:]):
+        frame_counts = counts[lo:hi]
+        if not frame_counts[-1]:  # the frame ends in foreground: no background run after it
+            frame_counts.pop()
+        out.append(RleMask(height=height, width=width, counts=tuple(frame_counts)))
+    return tuple(out)
+
+
+def union_runs(parts, num_frames: int, height: int, width: int) -> tuple[RleMask, ...]:
+    """The frames whose foreground is the union of ``parts``, each a sorted ``(starts, ends)``
+    pair of disjoint intervals as :func:`intervals` gives them; no parts, no foreground."""
+    starts, ends = np.concatenate([np.zeros((2, 0), dtype=np.int64), *map(np.stack, parts)], 1)
+    order = np.argsort(starts, kind="stable")
+    starts, ends = starts[order], ends[order]
+    # An interval joins the one before it when it starts within the reach of
+    # the intervals so far (adjacent ones too), unless it is in a later frame.
+    reach = np.maximum.accumulate(ends)
+    frame = starts // (height * width)
+    new = np.ones(starts.size, dtype=bool)
+    new[1:] = (starts[1:] > reach[:-1]) | (frame[1:] != frame[:-1])
+    last = np.ones(starts.size, dtype=bool)
+    last[:-1] = new[1:]
+    return rles_from_intervals(starts[new], reach[last], num_frames, height, width)

@@ -23,8 +23,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import AlignmentError
-from .masks import (Mask, RleMask, area, intersection_area, require_int, require_real,
-                    require_same_shape, rle_decode, rle_encode)
+from .masks import (Mask, RleMask, area, intersection_area, intervals, require_int,
+                    require_real, require_same_shape, rle_decode, rle_encode, union_runs)
 from .masks import union  # noqa: F401  not called here; perfbench/tracer.py binds refine.union
 
 # Supported policies for breaking ties between equally frequent combinations.
@@ -274,67 +274,6 @@ def overlap_fraction(instance_mask: Mask, frame_mask: Mask) -> float:
     return intersection_area(inst, np.ravel(frame_mask)[first:]) / area(inst)
 
 
-def _intervals(rles) -> tuple[np.ndarray, np.ndarray]:
-    """The foreground runs of consecutive frames as sorted half-open intervals
-    ``[starts, ends)`` of flat positions, frame ``k`` starting at ``k * H * W``.
-    One ``cumsum`` over every count gives these positions, because each
-    frame's counts sum to ``H * W``."""
-    flat: list[int] = []
-    for rle in rles:
-        flat += rle.counts
-    counts = np.array(flat, dtype=np.int64)
-    lengths = np.array([len(rle.counts) for rle in rles])
-    ends = np.cumsum(counts)
-    # Runs alternate background, foreground, ... from each frame's first count.
-    offset = np.arange(counts.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    foreground = offset % 2 == 1
-    return ends[foreground] - counts[foreground], ends[foreground]
-
-
-def _rles_from_intervals(starts, ends, num_frames: int, height: int,
-                         width: int) -> tuple[RleMask, ...]:
-    """The frames whose foreground is the sorted, disjoint, non-adjacent
-    intervals ``[starts, ends)`` of flat positions (as :func:`_intervals`
-    gives them), as counts: each frame's are the gaps between its first pixel,
-    its interval ends and its last pixel, without a trailing 0."""
-    size = height * width
-    frame = starts // size
-    first = np.searchsorted(frame, np.arange(num_frames + 1))  # each frame's first interval
-    # Frame t's first pixel, then its intervals' ends, then frame t + 1's first pixel.
-    at = np.arange(num_frames + 1) + 2 * first
-    points = np.empty(2 * starts.size + num_frames + 1, dtype=np.int64)
-    points[at] = np.arange(num_frames + 1) * size
-    slots = frame + 1 + 2 * np.arange(starts.size)
-    points[slots], points[slots + 1] = starts, ends
-    counts, at = np.diff(points).tolist(), at.tolist()
-    out = []
-    for lo, hi in zip(at, at[1:]):
-        frame_counts = counts[lo:hi]
-        if not frame_counts[-1]:  # the frame ends in foreground: no background run after it
-            frame_counts.pop()
-        out.append(RleMask(height=height, width=width, counts=tuple(frame_counts)))
-    return tuple(out)
-
-
-def _union(tracks, start: int, stop: int) -> tuple[RleMask, ...]:
-    """Frames ``start`` to ``stop`` of the union of the mask sequences ``tracks``."""
-    first = tracks[0]
-    parts = [_intervals(seq.rles[start:stop]) for seq in tracks]
-    starts = np.concatenate([s for s, _ in parts])
-    order = np.argsort(starts, kind="stable")
-    starts, ends = starts[order], np.concatenate([e for _, e in parts])[order]
-    # An interval joins the one before it when it starts within the reach of
-    # the intervals so far (adjacent ones too), unless it is in a later frame.
-    reach = np.maximum.accumulate(ends)
-    frame = starts // (first.height * first.width)
-    new = np.ones(starts.size, dtype=bool)
-    new[1:] = (starts[1:] > reach[:-1]) | (frame[1:] != frame[:-1])
-    last = np.ones(starts.size, dtype=bool)
-    last[:-1] = new[1:]
-    return _rles_from_intervals(starts[new], reach[last], stop - start,
-                                first.height, first.width)
-
-
 def gate(coarse: MaskSequence, tracked: MaskletSet) -> tuple[tuple[float, ...], ...]:
     """The (T, N) table of overlap fractions: one row per frame, in instance-id
     order. It depends on neither ``window`` nor ``tau``. Each entry is the
@@ -343,7 +282,7 @@ def gate(coarse: MaskSequence, tracked: MaskletSet) -> tuple[tuple[float, ...], 
     interval, summed per frame."""
     require_aligned(coarse, tracked, "coarse sequence", "masklets")
     num_frames, size = coarse.num_frames, coarse.height * coarse.width
-    starts, ends = _intervals(coarse.rles)
+    starts, ends = intervals(coarse.rles)
     # A sentinel interval past the last position keeps every searched index valid.
     starts, ends = np.append(starts, num_frames * size + 1), np.append(ends, num_frames * size + 1)
     below = np.concatenate(([0], np.cumsum(ends - starts)))
@@ -356,7 +295,7 @@ def gate(coarse: MaskSequence, tracked: MaskletSet) -> tuple[tuple[float, ...], 
 
     columns = []
     for track in tracked.tracks:
-        s, e = _intervals(track.rles)
+        s, e = intervals(track.rles)
         frame = s // size
         # Sums of integers below 2**53 are exact as floats, and so is their
         # quotient's rounding: it equals Python's int / int.
@@ -411,8 +350,8 @@ def refine_window(coarse_frames, tracked: MaskletSet, cfg: RefineConfig,
         # Nothing survived the vote: pass the coarse frames through untouched.
         out = coarse_frames
     else:
-        out = MaskSequence(frames=_union([tracked.tracks[iid - 1] for iid in selected],
-                                         start, start + count))
+        parts = [intervals(tracked.tracks[iid - 1].rles[start:start + count]) for iid in selected]
+        out = MaskSequence(frames=union_runs(parts, count, tracked.height, tracked.width))
     record = WindowRecord(start=start, stop=start + count,
                           selected=selected, frames=tuple(records))
     return out, record

@@ -22,13 +22,14 @@ Frame indices are 0-based in this API, 1-based in JSON and error messages.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import ScenarioError
-from .masks import (Mask, empty_mask, erode, is_int, require_int, require_mask_budget,
-                    require_real, rle_encode, union)
+from .masks import (erode, is_int, require_int, require_mask_budget, require_real, rle_decode,
+                    rle_encode, union_runs)
 from .refine import MaskletSet, MaskSequence, window_spans
 
 SHAPE_KINDS = ("rect", "disk")
@@ -183,25 +184,25 @@ class Scenario:
         return tuple(i for i in range(1, self.num_instances + 1) if i not in self.target)
 
 
-def _render_track(track: ShapeTrack, frame_index: int, height: int, width: int) -> Mask:
-    """Rasterize one instance at one frame, clipping at the image edges."""
-    row, col = track.position(frame_index)
+def _row_runs(track: ShapeTrack, frame_index: int, height: int, width: int):
+    """One instance at one frame as flat intervals ``(starts, ends)``, one per row it
+    covers, clipped at the image edges: a rect's columns, or on a disk's row ``dy`` the
+    ``x`` with ``(x - col)**2 <= r**2 - dy**2``, ``isqrt(r**2 - dy**2)`` either side."""
     box_h, box_w = track.extent
+    row, col = track.position(frame_index)
+    # Clamped, a shape beyond an edge stays beyond it, and numpy's int64 holds the numbers.
+    row, col = min(max(row, -box_h), height + box_h), min(max(col, -box_w), width + box_w)
     if track.kind == "rect":
-        top, left = row, col
+        rows = np.arange(max(row, 0), min(row + box_h, height))
+        lo, hi = col, col + box_w
     else:
         r = track.radius
-        top, left = row - r, col - r
-    mask = empty_mask(height, width)
-    r0, r1 = max(0, top), min(height, top + box_h)
-    c0, c1 = max(0, left), min(width, left + box_w)
-    if r0 < r1 and c0 < c1:
-        if track.kind == "rect":
-            mask[r0:r1, c0:c1] = True
-        else:
-            yy, xx = np.ogrid[r0:r1, c0:c1]
-            mask[r0:r1, c0:c1] = (xx - col) ** 2 <= r ** 2 - (yy - row) ** 2
-    return mask
+        rows = np.arange(max(row - r, 0), min(row + r + 1, height))
+        half = np.array([math.isqrt(r * r - (y - row) ** 2) for y in rows.tolist()], dtype=np.int64)
+        lo, hi = col - half, col + half + 1
+    starts, ends = rows * width + np.clip(lo, 0, width), rows * width + np.clip(hi, 0, width)
+    keep = starts < ends
+    return starts[keep], ends[keep]
 
 
 def _strict_minority(corrupted: int, frames: int) -> bool:
@@ -240,8 +241,8 @@ class SynthResult:
 def generate(scenario: Scenario) -> SynthResult:
     """Render a scenario. Same scenario, same bits — always.
 
-    Frames are rendered one at a time: frame ``t``'s instance masks, ground
-    truth and coarse mask are encoded and dropped before frame ``t + 1``."""
+    Frames are rendered one at a time, as row intervals that make up each frame's runs;
+    only the coarse union is decoded, to erode it, and encoded, before the next frame."""
     T, H, W = scenario.frames, scenario.height, scenario.width
     spec = scenario.corruption
     rng = np.random.default_rng(scenario.seed)
@@ -252,19 +253,16 @@ def generate(scenario: Scenario) -> SynthResult:
         events.update((t, ids[k]) for t, k in hits)
 
     tracks = [[] for _ in scenario.instances]
-    gt_frames, coarse_frames, corrupted = [], [], []
+    gt_frames, coarse_frames = [], []
     for t in range(T):
-        masks = [_render_track(track, t, H, W) for track in scenario.instances]
-        gt = union([masks[iid - 1] for iid in scenario.target])
-        parts = [masks[iid - 1] for iid in scenario.target if (t, iid) not in drops]
-        parts += [masks[iid - 1] for iid in scenario.non_target if (t, iid) in adds]
-        coarse = erode(union(parts) if parts else empty_mask(H, W), spec.boundary_erosion_px)
-        if not np.array_equal(coarse, gt):
-            corrupted.append(t)
-        for track, mask in zip(tracks, masks):
-            track.append(rle_encode(mask))
-        gt_frames.append(rle_encode(gt))
-        coarse_frames.append(rle_encode(coarse))
+        runs = [_row_runs(track, t, H, W) for track in scenario.instances]
+        for track, part in zip(tracks, runs):
+            track += union_runs([part], 1, H, W)
+        gt_frames += union_runs([runs[iid - 1] for iid in scenario.target], 1, H, W)
+        parts = [runs[iid - 1] for iid in scenario.target if (t, iid) not in drops]
+        parts += [runs[iid - 1] for iid in scenario.non_target if (t, iid) in adds]
+        coarse_frames.append(rle_encode(erode(rle_decode(*union_runs(parts, 1, H, W)),
+                                              spec.boundary_erosion_px)))
     return SynthResult(
         scenario=scenario,
         gt=MaskSequence(frames=gt_frames),
@@ -272,7 +270,7 @@ def generate(scenario: Scenario) -> SynthResult:
         coarse=MaskSequence(frames=coarse_frames),
         drops=tuple(sorted(drops)),
         adds=tuple(sorted(adds)),
-        corrupted_frames=tuple(corrupted),
+        corrupted_frames=tuple(t for t in range(T) if coarse_frames[t] != gt_frames[t]),
     )
 
 

@@ -24,6 +24,7 @@ from maskfuse import (
     sequence_manifest,
     union,
 )
+from maskfuse.masks import RleMask, intervals, union_runs
 from maskfuse.refine import gate, overlap_fraction, refine_window
 
 SHAPES = [(1, 1), (1, 7), (6, 1), (4, 5), (48, 64)]
@@ -84,6 +85,22 @@ def test_rebuilt_counts_are_the_encoded_dense_union(height, width):
             assert record.selected == chosen
             assert out.rles == tuple(rle_encode(union([tracks[i - 1][t] for i in chosen]))
                                      for t in range(start, len(coarse)))
+
+
+def test_union_runs_merges_touching_intervals_within_a_frame_only():
+    # Two frames of 2x3: frame 0's two rows touch, and so do frame 0's end and frame 1's start.
+    rows = (np.array([0, 3, 6]), np.array([3, 6, 9]))
+    inside = (np.array([1, 7]), np.array([2, 8]))
+    assert [rle.counts for rle in union_runs([rows, inside], 2, 2, 3)] == [(0, 6), (0, 3, 3)]
+    assert union_runs([], 2, 2, 3) == (RleMask(height=2, width=3, counts=(6,)),) * 2
+
+
+@pytest.mark.parametrize("height, width", SHAPES)
+def test_union_runs_of_sequences_is_the_encoded_dense_union(height, width):
+    coarse, tracks = scene(height, width)
+    seqs = [MaskSequence(frames=f) for f in (coarse, *tracks)]
+    out = union_runs([intervals(seq.rles) for seq in seqs], len(coarse), height, width)
+    assert out == tuple(rle_encode(union(frames)) for frames in zip(coarse, *tracks))
 
 
 def test_a_vote_for_nothing_passes_the_coarse_runs_through():

@@ -19,7 +19,71 @@ from maskfuse import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from maskfuse.synth import _render_track
+import maskfuse.cli
+import maskfuse.manifest
+import maskfuse.masks
+import maskfuse.refine
+import maskfuse.synth
+from maskfuse.masks import erode, rle_encode, union
+from maskfuse.synth import _row_runs
+
+
+def render_dense(track: ShapeTrack, frame_index: int, height: int, width: int) -> np.ndarray:
+    """Dense reference rasterizer: one instance at one frame, clipped at the image edges."""
+    row, col = track.position(frame_index)
+    box_h, box_w = track.extent
+    if track.kind == "rect":
+        top, left = row, col
+    else:
+        r = track.radius
+        top, left = row - r, col - r
+    mask = np.zeros((height, width), dtype=bool)
+    r0, r1 = max(0, top), min(height, top + box_h)
+    c0, c1 = max(0, left), min(width, left + box_w)
+    if r0 < r1 and c0 < c1:
+        if track.kind == "rect":
+            mask[r0:r1, c0:c1] = True
+        else:
+            yy, xx = np.ogrid[r0:r1, c0:c1]
+            mask[r0:r1, c0:c1] = (xx - col) ** 2 <= r ** 2 - (yy - row) ** 2
+    return mask
+
+
+def dense_reference(scenario: Scenario, drops=(), adds=()):
+    """Per frame, the dense instance masks, ground truth and coarse mask, and
+    the frames where the coarse mask differs, built with the dense helpers."""
+    h, w = scenario.height, scenario.width
+    tracks, gt, coarse = [], [], []
+    for t in range(scenario.frames):
+        masks = [render_dense(track, t, h, w) for track in scenario.instances]
+        tracks.append(masks)
+        gt.append(union([masks[i - 1] for i in scenario.target]))
+        parts = [masks[i - 1] for i in scenario.target if (t, i) not in drops]
+        parts += [masks[i - 1] for i in scenario.non_target if (t, i) in adds]
+        coarse.append(erode(union(parts) if parts else np.zeros((h, w), dtype=bool),
+                            scenario.corruption.boundary_erosion_px))
+    corrupted = tuple(t for t in range(scenario.frames) if not np.array_equal(coarse[t], gt[t]))
+    return tracks, gt, coarse, corrupted
+
+
+def assert_matches_dense_reference(scenario, gt, masklets, coarse, drops=(), adds=()):
+    """The rendered sequences hold the reference's frames, as canonical runs."""
+    want_tracks, want_gt, want_coarse, corrupted = dense_reference(scenario, drops, adds)
+    for t in range(scenario.frames):
+        for iid, want in enumerate(want_tracks[t], start=1):
+            assert np.array_equal(masklets.frame(iid, t), want)
+            assert masklets.tracks[iid - 1].rles[t] == rle_encode(want)
+        for seq, want in ((gt, want_gt[t]), (coarse, want_coarse[t])):
+            assert np.array_equal(seq[t], want) and seq.rles[t] == rle_encode(want)
+    return corrupted
+
+
+def paint(starts, ends, height: int, width: int) -> np.ndarray:
+    """The mask whose foreground is the flat intervals ``[starts, ends)``."""
+    flat = np.zeros(height * width, dtype=bool)
+    for s, e in zip(starts.tolist(), ends.tolist()):
+        flat[s:e] = True
+    return flat.reshape(height, width)
 
 
 def simple_scenario(**overrides) -> Scenario:
@@ -105,22 +169,131 @@ def test_disk_matches_full_frame_formula(start, radius):
     track = ShapeTrack(kind="disk", radius=radius, start=start, velocity=(1, -2))
     for t in range(3):
         row, col = track.position(t)
-        disk = _render_track(track, t, h, w)
-        assert disk.dtype == np.bool_
+        starts, ends = _row_runs(track, t, h, w)
+        # One interval per covered row, rows in order, none crossing a row's end.
+        rows = starts // w
+        assert (np.diff(rows) == 1).all() and ((ends - 1) // w == rows).all()
+        assert (starts < ends).all()
+        disk = paint(starts, ends, h, w)
         assert np.array_equal(disk, (yy - row) ** 2 + (xx - col) ** 2 <= radius ** 2)
+        assert np.array_equal(disk, render_dense(track, t, h, w))
 
 
-def test_disk_render_peak_memory_stays_within_three_masks():
-    h = w = 1024
-    track = ShapeTrack(kind="disk", radius=500, start=(512, 512), velocity=(0, 0))
+REFERENCE_SCENES = {
+    # Each row of the rect is a whole image row: the rows merge into one run.
+    "full-width rect, vertical": Scenario(
+        frames=5, height=10, width=12, target=(1,),
+        instances=(ShapeTrack(kind="rect", size=(3, 12), start=(-1, 0), velocity=(2, 0)),
+                   ShapeTrack(kind="disk", radius=1, start=(8, 5), velocity=(0, 1))),
+        corruption=CorruptionSpec(forced_adds=((1, 2),))),
+    # Clipped at the top, left, bottom and right edges, then gone past them.
+    "every edge": Scenario(
+        frames=6, height=12, width=16, target=(1, 3), seed=5,
+        instances=(ShapeTrack(kind="rect", size=(4, 5), start=(1, 6), velocity=(-1, 0)),
+                   ShapeTrack(kind="rect", size=(3, 4), start=(4, 1), velocity=(0, -1)),
+                   ShapeTrack(kind="disk", radius=2, start=(9, 8), velocity=(1, 0)),
+                   ShapeTrack(kind="disk", radius=3, start=(6, 13), velocity=(0, 1))),
+        corruption=CorruptionSpec(flicker_drop_prob=0.3, spurious_add_prob=0.5)),
+    "disks of radius 0": Scenario(
+        frames=4, height=6, width=7, target=(1, 2),
+        instances=(ShapeTrack(kind="disk", radius=0, start=(0, 0), velocity=(1, 1)),
+                   ShapeTrack(kind="disk", radius=0, start=(5, 5), velocity=(0, 1)),
+                   ShapeTrack(kind="disk", radius=0, start=(3, 3))),
+        corruption=CorruptionSpec(forced_drops=((1, 2),), forced_adds=((2, 3),))),
+    "forced drops and adds": simple_scenario(
+        instances=simple_scenario().instances + (
+            ShapeTrack(kind="rect", size=(3, 3), start=(6, 6), velocity=(1, 1)),),
+        target=(1, 3), corruption=CorruptionSpec(
+            forced_drops=((0, 1), (2, 3), (4, 1), (4, 3)), forced_adds=((1, 2), (4, 2)))),
+    # Frame 3 drops the only target and adds nothing: its coarse union is empty.
+    "empty coarse frame": simple_scenario(corruption=CorruptionSpec(forced_drops=((3, 1),))),
+}
+
+
+@pytest.mark.parametrize("erosion", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(REFERENCE_SCENES))
+def test_generate_matches_the_dense_reference(name, erosion):
+    base = REFERENCE_SCENES[name]
+    scenario = dataclasses.replace(base, corruption=dataclasses.replace(
+        base.corruption, boundary_erosion_px=erosion))
+    result = generate(scenario)
+    corrupted = assert_matches_dense_reference(scenario, result.gt, result.masklets,
+                                               result.coarse, result.drops, result.adds)
+    assert result.corrupted_frames == corrupted
+    if name == "full-width rect, vertical":
+        assert [rle.counts for rle in result.masklets.tracks[0].rles] == [
+            (0, 24, 96), (12, 36, 72), (36, 36, 48), (60, 36, 24), (84, 36)]
+    if name == "empty coarse frame":
+        assert result.coarse.rles[3].counts == (scenario.height * scenario.width,)
+        assert 3 in corrupted
+
+
+# Far enough that int64 would wrap (4 * (2**62 + 1) is 2**64 + 4) or overflow.
+@pytest.mark.parametrize("velocity", [[0, 2**62 + 1], [0, 10**30], [2**62 + 1, 0],
+                                      [-(10**30), 0], [10**30, -(2**62 + 1)]])
+def test_cli_synth_renders_far_shapes_outside_the_image(tmp_path, capsys, velocity):
+    spec = {"video_id": "far", "frames": 5, "height": 8, "width": 8, "target": [1],
+            "instances": [{"kind": "rect", "size": [2, 2], "start": [1, 0], "velocity": velocity},
+                          {"kind": "disk", "radius": 1, "start": [5, 1], "velocity": velocity},
+                          {"kind": "rect", "size": [3, 3], "start": [4, 4]}],
+            "corruption": {"forced_adds": [{"frame": 5, "instance": 2}]}}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    code = maskfuse.cli.main(["synth", "--spec", str(tmp_path / "spec.json"),
+                              "--out-dir", str(out)])
+    assert code == 0, capsys.readouterr().err
+    gt, masklets, coarse = (maskfuse.manifest.load_manifest(out / f"{name}.json").data
+                            for name in ("gt", "masklets", "coarse"))
+    assert_matches_dense_reference(scenario_from_dict(spec), gt, masklets, coarse,
+                                   adds={(4, 2)})
+    assert not any(masklets.frame(1, t).any() for t in range(1, 5))
+
+
+def test_generate_builds_no_dense_frame_per_instance():
+    """Only each frame's coarse union is dense, so peak memory does not grow
+    with the number of instances: it stays below half of the 16 frames that
+    one frame's instances take as dense masks (a dense mask per instance
+    peaks at 36 frames here, the run renderer at 4.5)."""
+    generate(simple_scenario())  # numpy's first calls allocate caches of their own
+    h, w, n = 256, 512, 16
+    scenario = Scenario(frames=2, height=h, width=w, target=tuple(range(1, n + 1)),
+                        instances=tuple(ShapeTrack(kind="rect", size=(100, 100),
+                                                   start=(8 * i, 20 * i)) for i in range(n)),
+                        corruption=CorruptionSpec(boundary_erosion_px=1))
     tracemalloc.start()
     try:
-        disk = _render_track(track, 0, h, w)
+        result = generate(scenario)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert disk.any()
-    assert peak <= 3 * disk.nbytes
+    assert result.gt[0].any()
+    assert peak <= n // 2 * h * w
+
+
+def test_synth_encodes_each_frame_once_and_unites_no_dense_masks(tmp_path, monkeypatch):
+    """A T-frame ``maskfuse synth`` encodes T dense frames (the eroded coarse
+    ones) and never calls the dense union."""
+    calls = {"rle_encode": 0, "union": 0}
+    for module in (maskfuse.masks, maskfuse.refine, maskfuse.synth, maskfuse.manifest,
+                   maskfuse.cli):
+        for name in calls:
+            if hasattr(module, name):
+                real = getattr(module, name)
+
+                def spy(*args, real=real, name=name):
+                    calls[name] += 1
+                    return real(*args)
+
+                monkeypatch.setattr(module, name, spy)
+    frames = 12
+    scenario = simple_scenario(frames=frames, instances=simple_scenario().instances * 3,
+                               target=(1, 2, 5), corruption=CorruptionSpec(
+                                   boundary_erosion_px=1, flicker_drop_prob=0.3,
+                                   spurious_add_prob=0.3))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(scenario_to_dict(scenario)))
+    assert maskfuse.cli.main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path / "out")]) == 0
+    assert calls["rle_encode"] <= frames and calls["union"] == 0
 
 
 def test_same_seed_is_bit_identical():
