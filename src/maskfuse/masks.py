@@ -12,7 +12,8 @@ Run-length layout (the interchange form):
   count is >= 1, and the counts sum to ``height * width``.
 
 Only this module reads and writes that layout: the dense codec, and the flat
-foreground intervals of counts, which :func:`union_runs` unites with no pixels.
+foreground intervals of counts, which :func:`merge_runs` unites and
+:func:`erode_runs` erodes with no pixels.
 """
 
 from __future__ import annotations
@@ -288,9 +289,9 @@ def rles_from_intervals(starts, ends, num_frames: int, height: int,
     return tuple(out)
 
 
-def union_runs(parts, num_frames: int, height: int, width: int) -> tuple[RleMask, ...]:
-    """The frames whose foreground is the union of ``parts``, each a sorted ``(starts, ends)``
-    pair of disjoint intervals as :func:`intervals` gives them; no parts, no foreground."""
+def merge_runs(parts, height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The union of ``parts``, each a ``(starts, ends)`` pair of disjoint flat intervals,
+    as sorted, disjoint, non-adjacent intervals; intervals of two frames never merge."""
     starts, ends = np.concatenate([np.zeros((2, 0), dtype=np.int64), *map(np.stack, parts)], 1)
     order = np.argsort(starts, kind="stable")
     starts, ends = starts[order], ends[order]
@@ -302,4 +303,37 @@ def union_runs(parts, num_frames: int, height: int, width: int) -> tuple[RleMask
     new[1:] = (starts[1:] > reach[:-1]) | (frame[1:] != frame[:-1])
     last = np.ones(starts.size, dtype=bool)
     last[:-1] = new[1:]
-    return rles_from_intervals(starts[new], reach[last], num_frames, height, width)
+    return starts[new], reach[last]
+
+
+def union_runs(parts, num_frames: int, height: int, width: int) -> tuple[RleMask, ...]:
+    """The frames whose foreground is the union of ``parts``, each a sorted ``(starts, ends)``
+    pair of disjoint intervals as :func:`intervals` gives them; no parts, no foreground."""
+    return rles_from_intervals(*merge_runs(parts, height, width), num_frames, height, width)
+
+
+def erode_runs(starts, ends, steps: int, height: int,
+               width: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`erode` of the frames whose foreground is the sorted, disjoint flat intervals
+    ``[starts, ends)``, as intervals like those of :func:`merge_runs`. Split at row ends
+    into row runs on lines ``frame * H + row``, a step keeps what three sets all cover:
+    the runs shrunk by one pixel at both ends, and the runs moved down and up a line,
+    except those that would leave their frame. One sweep over the sorted ends and
+    starts (ends first at one position) finds where the cover is three."""
+    if not steps:
+        return starts, ends
+    pieces = (ends - 1) // width - starts // width + 1
+    starts, ends = np.repeat(starts, pieces), np.repeat(ends, pieces)
+    line = starts // width + np.arange(starts.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    starts, ends = np.maximum(starts, line * width), np.minimum(ends, line * width + width)
+    for _ in range(min(steps, (min(height, width) + 1) // 2)):  # as in erode
+        row = starts // width % height
+        inner, down, up = ends - starts > 2, row < height - 1, row > 0
+        lo = np.concatenate((starts[inner] + 1, starts[down] + width, starts[up] - width))
+        hi = np.concatenate((ends[inner] - 1, ends[down] + width, ends[up] - width))
+        points = np.concatenate((hi, lo))
+        order = np.argsort(2 * points + (np.arange(points.size) >= hi.size))
+        cover = np.cumsum(np.where(order < hi.size, -1, 1))
+        at = np.flatnonzero(cover == 3)
+        starts, ends = points[order[at]], points[order[at + 1]]
+    return starts, ends

@@ -28,11 +28,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ScenarioError
-from .masks import (erode, is_int, require_int, require_mask_budget, require_real, rle_decode,
-                    rle_encode, union_runs)
+from .masks import (erode_runs, is_int, merge_runs, require_int, require_mask_budget, require_real,
+                    rles_from_intervals, union_runs)
 from .refine import MaskletSet, MaskSequence, window_spans
 
 SHAPE_KINDS = ("rect", "disk")
+# Frames that generate renders, unites and erodes in one call each.
+_BLOCK_FRAMES = 32
 
 
 def _int_pair(value, what: str) -> tuple[int, int]:
@@ -184,25 +186,28 @@ class Scenario:
         return tuple(i for i in range(1, self.num_instances + 1) if i not in self.target)
 
 
-def _row_runs(track: ShapeTrack, frame_index: int, height: int, width: int):
-    """One instance at one frame as flat intervals ``(starts, ends)``, one per row it
-    covers, clipped at the image edges: a rect's columns, or on a disk's row ``dy`` the
-    ``x`` with ``(x - col)**2 <= r**2 - dy**2``, ``isqrt(r**2 - dy**2)`` either side."""
+def _track_runs(track: ShapeTrack, t0: int, t1: int, height: int, width: int):
+    """One instance over frames ``[t0, t1)`` as flat intervals ``(starts, ends)``
+    of the block, frame ``t`` at ``(t - t0) * H * W``, with each interval's frame
+    in the block: one per row the shape covers, clipped at the image edges. A
+    rect's rows span its columns; a disk's row ``dy`` spans the ``x`` with
+    ``(x - col)**2 <= r**2 - dy**2``, ``isqrt(r**2 - dy**2)`` either side."""
     box_h, box_w = track.extent
-    row, col = track.position(frame_index)
-    # Clamped, a shape beyond an edge stays beyond it, and numpy's int64 holds the numbers.
-    row, col = min(max(row, -box_h), height + box_h), min(max(col, -box_w), width + box_w)
+    # Clamped as Python ints, a shape beyond an edge stays beyond it, and int64 holds the numbers.
+    at = np.array([(min(max(row, -box_h), height + box_h), min(max(col, -box_w), width + box_w))
+                   for row, col in map(track.position, range(t0, t1))])
     if track.kind == "rect":
-        rows = np.arange(max(row, 0), min(row + box_h, height))
-        lo, hi = col, col + box_w
+        dy, lo, hi = np.arange(box_h), 0, box_w
     else:
         r = track.radius
-        rows = np.arange(max(row - r, 0), min(row + r + 1, height))
-        half = np.array([math.isqrt(r * r - (y - row) ** 2) for y in rows.tolist()], dtype=np.int64)
-        lo, hi = col - half, col + half + 1
-    starts, ends = rows * width + np.clip(lo, 0, width), rows * width + np.clip(hi, 0, width)
-    keep = starts < ends
-    return starts[keep], ends[keep]
+        dy = np.arange(-r, r + 1)
+        half = np.array([math.isqrt(r * r - d * d) for d in dy.tolist()], dtype=np.int64)
+        lo, hi = -half, half + 1
+    y, x0, x1 = at[:, :1] + dy, np.clip(at[:, 1:] + lo, 0, width), np.clip(at[:, 1:] + hi, 0, width)
+    frame = np.broadcast_to(np.arange(t1 - t0)[:, None], y.shape)
+    keep = (y >= 0) & (y < height) & (x0 < x1)
+    base = (frame * height + y) * width
+    return (base + x0)[keep], (base + x1)[keep], frame[keep]
 
 
 def _strict_minority(corrupted: int, frames: int) -> bool:
@@ -241,8 +246,10 @@ class SynthResult:
 def generate(scenario: Scenario) -> SynthResult:
     """Render a scenario. Same scenario, same bits — always.
 
-    Frames are rendered one at a time, as row intervals that make up each frame's runs;
-    only the coarse union is decoded, to erode it, and encoded, before the next frame."""
+    Frames are rendered a block at a time, with no pixels: each track becomes
+    one interval per row it covers in each frame of the block, and each block's
+    ground truth and coarse frames are unions of those intervals, the coarse
+    ones eroded on their runs."""
     T, H, W = scenario.frames, scenario.height, scenario.width
     spec = scenario.corruption
     rng = np.random.default_rng(scenario.seed)
@@ -251,18 +258,25 @@ def generate(scenario: Scenario) -> SynthResult:
                               (adds, scenario.non_target, spec.spurious_add_prob)):
         hits = np.argwhere(rng.random((T, len(ids))) < prob).tolist()
         events.update((t, ids[k]) for t, k in hits)
+    # in_coarse[t, i - 1]: instance i is part of frame t's coarse union.
+    in_coarse = np.zeros((T, scenario.num_instances), dtype=bool)
+    in_coarse[:, [iid - 1 for iid in scenario.target]] = True
+    for events, value in ((drops, False), (adds, True)):
+        for t, iid in events:
+            in_coarse[t, iid - 1] = value
 
     tracks = [[] for _ in scenario.instances]
     gt_frames, coarse_frames = [], []
-    for t in range(T):
-        runs = [_row_runs(track, t, H, W) for track in scenario.instances]
-        for track, part in zip(tracks, runs):
-            track += union_runs([part], 1, H, W)
-        gt_frames += union_runs([runs[iid - 1] for iid in scenario.target], 1, H, W)
-        parts = [runs[iid - 1] for iid in scenario.target if (t, iid) not in drops]
-        parts += [runs[iid - 1] for iid in scenario.non_target if (t, iid) in adds]
-        coarse_frames.append(rle_encode(erode(rle_decode(*union_runs(parts, 1, H, W)),
-                                              spec.boundary_erosion_px)))
+    for t0 in range(0, T, _BLOCK_FRAMES):
+        t1 = min(t0 + _BLOCK_FRAMES, T)
+        runs = [_track_runs(track, t0, t1, H, W) for track in scenario.instances]
+        for track, (starts, ends, _) in zip(tracks, runs):
+            track += union_runs([(starts, ends)], t1 - t0, H, W)
+        gt_frames += union_runs([runs[iid - 1][:2] for iid in scenario.target], t1 - t0, H, W)
+        parts = [(starts[keep[frame]], ends[keep[frame]])
+                 for (starts, ends, frame), keep in zip(runs, in_coarse[t0:t1].T)]
+        coarse = erode_runs(*merge_runs(parts, H, W), spec.boundary_erosion_px, H, W)
+        coarse_frames += rles_from_intervals(*coarse, t1 - t0, H, W)
     return SynthResult(
         scenario=scenario,
         gt=MaskSequence(frames=gt_frames),

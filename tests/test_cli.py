@@ -355,7 +355,7 @@ def test_oversized_scenario_is_rejected_before_rendering(tmp_path, capsys, monke
         rendered.append(args)
         raise AssertionError("the scenario must be rejected before it is rendered")
 
-    monkeypatch.setattr(maskfuse.synth, "_row_runs", no_render)
+    monkeypatch.setattr(maskfuse.synth, "_track_runs", no_render)
     rect = {"kind": "rect", "size": [min(side, 2)] * 2}  # one that fits, so the budget decides
     code, out_dir = run_synth(tmp_path, synth_spec(frames=frames, height=side, width=side,
                                                    instances=[rect]))

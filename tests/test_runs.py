@@ -24,7 +24,7 @@ from maskfuse import (
     sequence_manifest,
     union,
 )
-from maskfuse.masks import RleMask, intervals, union_runs
+from maskfuse.masks import RleMask, erode, erode_runs, intervals, rles_from_intervals, union_runs
 from maskfuse.refine import gate, overlap_fraction, refine_window
 
 SHAPES = [(1, 1), (1, 7), (6, 1), (4, 5), (48, 64)]
@@ -101,6 +101,32 @@ def test_union_runs_of_sequences_is_the_encoded_dense_union(height, width):
     seqs = [MaskSequence(frames=f) for f in (coarse, *tracks)]
     out = union_runs([intervals(seq.rles) for seq in seqs], len(coarse), height, width)
     assert out == tuple(rle_encode(union(frames)) for frames in zip(coarse, *tracks))
+
+
+def erosion_stacks(height: int, width: int, rng):
+    """Stacks of 1-3 frames: stacked full frames, whose erosion must not reach
+    across a frame's edge; full rows, whose runs merge across row ends; empty
+    frames; then random masks of several densities."""
+    full, empty = np.ones((height, width), dtype=bool), np.zeros((height, width), dtype=bool)
+    rows = empty.copy()
+    rows[height // 4:max(height // 4 + 2, 3 * height // 4)] = True
+    yield from ([full, full, full], [full], [empty], [empty, full, empty], [rows, full],
+                [full, rows, empty], [rows | (rng.random((height, width)) < 0.7)] * 2)
+    for density in (0.3, 0.6, 0.8, 0.95):
+        for _ in range(25):
+            yield [rng.random((height, width)) < density for _ in range(rng.integers(1, 4))]
+
+
+@pytest.mark.parametrize("height, width", [(1, 1), (1, 8), (8, 1), (1, 2), (2, 7), (6, 2),
+                                           (3, 3), (4, 5), (7, 8), (8, 8)])
+def test_erode_runs_is_the_dense_erosion(height, width):
+    """Every step count, past the one after which every mask is empty."""
+    for frames in erosion_stacks(height, width, np.random.default_rng(height * 10 + width)):
+        rles = [rle_encode(frame) for frame in frames]
+        for steps in range((min(height, width) + 1) // 2 + 3):
+            eroded = erode_runs(*intervals(rles), steps, height, width)
+            assert (rles_from_intervals(*eroded, len(frames), height, width)
+                    == tuple(rle_encode(erode(frame, steps)) for frame in frames))
 
 
 def test_a_vote_for_nothing_passes_the_coarse_runs_through():

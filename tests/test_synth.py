@@ -25,7 +25,7 @@ import maskfuse.masks
 import maskfuse.refine
 import maskfuse.synth
 from maskfuse.masks import erode, rle_encode, union
-from maskfuse.synth import _row_runs
+from maskfuse.synth import _track_runs
 
 
 def render_dense(track: ShapeTrack, frame_index: int, height: int, width: int) -> np.ndarray:
@@ -167,17 +167,23 @@ def test_disk_matches_full_frame_formula(start, radius):
     h, w = 20, 30
     yy, xx = np.ogrid[:h, :w]
     track = ShapeTrack(kind="disk", radius=radius, start=start, velocity=(1, -2))
-    for t in range(3):
+    t0, t1 = 2, 5
+    starts, ends, frame = _track_runs(track, t0, t1, h, w)
+    assert (np.diff(starts) > 0).all() and (np.diff(frame) >= 0).all()
+    for k, t in enumerate(range(t0, t1)):
         row, col = track.position(t)
-        starts, ends = _row_runs(track, t, h, w)
+        in_frame = frame == k
+        s, e = starts[in_frame] - k * h * w, ends[in_frame] - k * h * w
         # One interval per covered row, rows in order, none crossing a row's end.
-        rows = starts // w
-        assert (np.diff(rows) == 1).all() and ((ends - 1) // w == rows).all()
-        assert (starts < ends).all()
-        disk = paint(starts, ends, h, w)
+        rows = s // w
+        assert (np.diff(rows) == 1).all() and ((e - 1) // w == rows).all()
+        assert (s >= 0).all() and (s < e).all()
+        disk = paint(s, e, h, w)
         assert np.array_equal(disk, (yy - row) ** 2 + (xx - col) ** 2 <= radius ** 2)
         assert np.array_equal(disk, render_dense(track, t, h, w))
 
+
+BLOCK = maskfuse.synth._BLOCK_FRAMES
 
 REFERENCE_SCENES = {
     # Each row of the rect is a whole image row: the rows merge into one run.
@@ -207,6 +213,28 @@ REFERENCE_SCENES = {
             forced_drops=((0, 1), (2, 3), (4, 1), (4, 3)), forced_adds=((1, 2), (4, 2)))),
     # Frame 3 drops the only target and adds nothing: its coarse union is empty.
     "empty coarse frame": simple_scenario(corruption=CorruptionSpec(forced_drops=((3, 1),))),
+    # Two whole blocks and a short one, with corruption sampled on every frame;
+    # the disks cross the image during the second block.
+    "three blocks": Scenario(
+        frames=2 * BLOCK + 5, height=10, width=14, target=(1, 3), seed=11,
+        instances=(ShapeTrack(kind="rect", size=(3, 4), start=(1, 2)),
+                   ShapeTrack(kind="disk", radius=2, start=(6, -BLOCK - 8), velocity=(0, 1)),
+                   ShapeTrack(kind="disk", radius=1, start=(-BLOCK - 2, 10), velocity=(1, 0))),
+        corruption=CorruptionSpec(flicker_drop_prob=0.3, spurious_add_prob=0.4)),
+    "one frame": simple_scenario(frames=1, corruption=CorruptionSpec(forced_adds=((0, 2),))),
+    # Forced events on the first and the last frame of every block.
+    "forced at block ends": simple_scenario(
+        frames=2 * BLOCK + 1, instances=(ShapeTrack(kind="rect", size=(4, 5), start=(2, 2)),
+                                         ShapeTrack(kind="disk", radius=2, start=(11, 18))),
+        corruption=CorruptionSpec(
+            forced_drops=((0, 1), (BLOCK - 1, 1), (BLOCK, 1), (2 * BLOCK - 1, 1), (2 * BLOCK, 1)),
+            forced_adds=((0, 2), (BLOCK - 1, 2), (BLOCK, 2), (2 * BLOCK - 1, 2), (2 * BLOCK, 2)))),
+    # The rect leaves through the bottom edge and the disk through the left one,
+    # both in the middle of the first block.
+    "leaves mid-block": simple_scenario(
+        frames=BLOCK + 3, target=(1, 2),
+        instances=(ShapeTrack(kind="rect", size=(4, 5), start=(2, 2), velocity=(1, 0)),
+                   ShapeTrack(kind="disk", radius=2, start=(11, 18), velocity=(0, -1)))),
 }
 
 
@@ -226,6 +254,9 @@ def test_generate_matches_the_dense_reference(name, erosion):
     if name == "empty coarse frame":
         assert result.coarse.rles[3].counts == (scenario.height * scenario.width,)
         assert 3 in corrupted
+    if name == "leaves mid-block":
+        gone = [t for t in range(scenario.frames) if not result.gt[t].any()]
+        assert 0 < gone[0] < BLOCK - 1 and gone == list(range(gone[0], scenario.frames))
 
 
 # Far enough that int64 would wrap (4 * (2**62 + 1) is 2**64 + 4) or overflow.
@@ -250,10 +281,10 @@ def test_cli_synth_renders_far_shapes_outside_the_image(tmp_path, capsys, veloci
 
 
 def test_generate_builds_no_dense_frame_per_instance():
-    """Only each frame's coarse union is dense, so peak memory does not grow
-    with the number of instances: it stays below half of the 16 frames that
+    """No frame is ever dense, so peak memory does not grow with the number of
+    instances as dense masks would: it stays below half of the 16 frames that
     one frame's instances take as dense masks (a dense mask per instance
-    peaks at 36 frames here, the run renderer at 4.5)."""
+    peaks at 36 frames here, the block renderer at 3.6, all of it runs)."""
     generate(simple_scenario())  # numpy's first calls allocate caches of their own
     h, w, n = 256, 512, 16
     scenario = Scenario(frames=2, height=h, width=w, target=tuple(range(1, n + 1)),
@@ -270,10 +301,10 @@ def test_generate_builds_no_dense_frame_per_instance():
     assert peak <= n // 2 * h * w
 
 
-def test_synth_encodes_each_frame_once_and_unites_no_dense_masks(tmp_path, monkeypatch):
-    """A T-frame ``maskfuse synth`` encodes T dense frames (the eroded coarse
-    ones) and never calls the dense union."""
-    calls = {"rle_encode": 0, "union": 0}
+def test_synth_decodes_encodes_erodes_and_unites_no_dense_mask(tmp_path, monkeypatch):
+    """``maskfuse synth`` renders, unites and erodes on runs: it calls none of
+    the dense codec, the dense erosion and the dense union."""
+    calls = {"rle_decode": 0, "rle_encode": 0, "erode": 0, "union": 0}
     for module in (maskfuse.masks, maskfuse.refine, maskfuse.synth, maskfuse.manifest,
                    maskfuse.cli):
         for name in calls:
@@ -285,15 +316,14 @@ def test_synth_encodes_each_frame_once_and_unites_no_dense_masks(tmp_path, monke
                     return real(*args)
 
                 monkeypatch.setattr(module, name, spy)
-    frames = 12
-    scenario = simple_scenario(frames=frames, instances=simple_scenario().instances * 3,
+    scenario = simple_scenario(frames=BLOCK + 4, instances=simple_scenario().instances * 3,
                                target=(1, 2, 5), corruption=CorruptionSpec(
                                    boundary_erosion_px=1, flicker_drop_prob=0.3,
                                    spurious_add_prob=0.3))
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(scenario_to_dict(scenario)))
     assert maskfuse.cli.main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path / "out")]) == 0
-    assert calls["rle_encode"] <= frames and calls["union"] == 0
+    assert calls == dict.fromkeys(calls, 0)
 
 
 def test_same_seed_is_bit_identical():
