@@ -188,10 +188,10 @@ class Scenario:
 
 def _track_runs(track: ShapeTrack, t0: int, t1: int, height: int, width: int):
     """One instance over frames ``[t0, t1)`` as flat intervals ``(starts, ends)``
-    of the block, frame ``t`` at ``(t - t0) * H * W``, with each interval's frame
-    in the block: one per row the shape covers, clipped at the image edges. A
-    rect's rows span its columns; a disk's row ``dy`` spans the ``x`` with
-    ``(x - col)**2 <= r**2 - dy**2``, ``isqrt(r**2 - dy**2)`` either side."""
+    of the block, frame ``t`` at ``(t - t0) * H * W``: one per row the shape
+    covers, clipped at the image edges. A rect's rows span its columns; a disk's
+    row ``dy`` spans the ``x`` with ``(x - col)**2 <= r**2 - dy**2``,
+    ``isqrt(r**2 - dy**2)`` either side."""
     box_h, box_w = track.extent
     # Clamped as Python ints, a shape beyond an edge stays beyond it, and int64 holds the numbers.
     at = np.array([(min(max(row, -box_h), height + box_h), min(max(col, -box_w), width + box_w))
@@ -207,7 +207,7 @@ def _track_runs(track: ShapeTrack, t0: int, t1: int, height: int, width: int):
     frame = np.broadcast_to(np.arange(t1 - t0)[:, None], y.shape)
     keep = (y >= 0) & (y < height) & (x0 < x1)
     base = (frame * height + y) * width
-    return (base + x0)[keep], (base + x1)[keep], frame[keep]
+    return (base + x0)[keep], (base + x1)[keep]
 
 
 def _strict_minority(corrupted: int, frames: int) -> bool:
@@ -270,11 +270,13 @@ def generate(scenario: Scenario) -> SynthResult:
     for t0 in range(0, T, _BLOCK_FRAMES):
         t1 = min(t0 + _BLOCK_FRAMES, T)
         runs = [_track_runs(track, t0, t1, H, W) for track in scenario.instances]
-        for track, (starts, ends, _) in zip(tracks, runs):
-            track += union_runs([(starts, ends)], t1 - t0, H, W)
-        gt_frames += union_runs([runs[iid - 1][:2] for iid in scenario.target], t1 - t0, H, W)
-        parts = [(starts[keep[frame]], ends[keep[frame]])
-                 for (starts, ends, frame), keep in zip(runs, in_coarse[t0:t1].T)]
+        for track, part in zip(tracks, runs):
+            track += union_runs([part], t1 - t0, H, W)
+        gt_frames += union_runs([runs[iid - 1] for iid in scenario.target], t1 - t0, H, W)
+        parts = []
+        for (starts, ends), keep in zip(runs, in_coarse[t0:t1].T):
+            pick = keep[starts // (H * W)]  # each interval's frame in the block
+            parts.append((starts[pick], ends[pick]))
         coarse = erode_runs(*merge_runs(parts, H, W), spec.boundary_erosion_px, H, W)
         coarse_frames += rles_from_intervals(*coarse, t1 - t0, H, W)
     return SynthResult(

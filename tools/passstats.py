@@ -4,8 +4,8 @@ time, minor page faults and peak resident set of each pass as JSON.
     python3 tools/passstats.py --passes 15 -- synth --spec scenario.json --out-dir out
 
 The package is imported from this checkout's ``src``. A pass is one
-``maskfuse.cli.main(argv)`` call, its standard output discarded; warm-up passes
-run first and are not reported. For each pass the output gives ``wall_s``,
+``maskfuse.cli.main(argv)`` call, its standard output discarded; one warm-up
+pass runs first and is not reported. For each pass the output gives ``wall_s``,
 ``minflt`` (the pass's ``ru_minflt`` difference) and ``vmhwm_kib`` (the process's
 ``VmHWM`` from ``/proc/self/status`` after the pass; it never falls, so it grows
 only on passes that raise the peak). Nothing is set or reset: the numbers are
@@ -54,13 +54,11 @@ def one_pass(argv: list[str]) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--passes", type=int, default=10, help="reported passes (default 10)")
-    parser.add_argument("--warmup", type=int, default=1, help="unreported passes first (default 1)")
     parser.add_argument("argv", nargs="+", help="the CLI arguments, after --")
     args = parser.parse_args()
-    if args.passes < 1 or args.warmup < 0:
-        parser.error("--passes must be at least 1 and --warmup at least 0")
-    for _ in range(args.warmup):
-        one_pass(args.argv)
+    if args.passes < 1:
+        parser.error("--passes must be at least 1")
+    one_pass(args.argv)
     passes = [one_pass(args.argv) for _ in range(args.passes)]
     print(json.dumps({
         "argv": args.argv,
